@@ -546,12 +546,11 @@ func BenchmarkSmallObjectInline(b *testing.B) {
 // on the paper's emulated testbed link (200µs, 10 Gbps): concurrent
 // workers drive Put+Get pairs of 1 KiB objects between two nodes.
 //
-//	baseline — the pre-fast-path configuration: inline payloads off (every
-//	  Get is a directory acquire plus a data-plane pull), write batching
-//	  off (one syscall per control frame), location cache off.
+//	baseline — the fast path ablated: inline payloads off (every Get is a
+//	  directory acquire plus a data-plane pull), location cache off.
 //	fastpath — the default configuration: sub-threshold objects ride
-//	  inline in directory replies (a cold Get is one RPC), control frames
-//	  coalesce, and locations are cached.
+//	  inline in directory replies (a cold Get is one RPC) and locations
+//	  are cached. Control frames coalesce in both variants.
 //
 // CI's bench-smoke job asserts a floor on the fastpath ops/sec and the
 // fastpath/baseline ratio (see .github/workflows/ci.yml).
@@ -609,13 +608,10 @@ func BenchmarkSmallObjectQPS(b *testing.B) {
 		}
 	}
 	b.Run("baseline", func(b *testing.B) {
-		run(b, hoplite.Options{InlineThreshold: -1, MaxBatchDelay: -1, LocationCacheSize: -1})
+		run(b, hoplite.Options{InlineThreshold: -1, LocationCacheSize: -1})
 	})
 	b.Run("fastpath", func(b *testing.B) {
-		// Inline payloads + location cache at their defaults, plus a
-		// batching window matched to the link latency so concurrent
-		// control frames coalesce into shared segments.
-		run(b, hoplite.Options{MaxBatchDelay: 200 * time.Microsecond})
+		run(b, hoplite.Options{})
 	})
 }
 

@@ -211,31 +211,113 @@ func TestClusterCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestStandaloneNodesOverTCP wires nodes manually (the hoplited
-// deployment path: one shard host plus workers joining by address).
-func TestStandaloneNodesOverTCP(t *testing.T) {
-	ctx := testCtx(t)
-	head, err := NewNode(Config{Fabric: tcpFabric(), HostShard: true})
-	if err != nil {
-		t.Fatal(err)
+// TestNewNodeBootForms covers NewNode's three ways to obtain its cluster
+// map over plain TCP (the hoplited / hoplite-cli deployment paths): a head
+// with neither InitialMap nor JoinAddrs founds a one-member cluster on its
+// own address; workers join it by address; an ephemeral client boots from
+// the fetched map without becoming a member.
+func TestNewNodeBootForms(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// peer builds the second node's config against a running head;
+		// nil exercises the self-founded head alone.
+		peer      func(ctx context.Context, head *Node) (Config, error)
+		member    bool // the peer ends up in the cluster map...
+		shardHost bool // ...eligible for directory shard replicas
+	}{
+		{name: "self-founded"},
+		{
+			name: "join storage-only",
+			peer: func(_ context.Context, head *Node) (Config, error) {
+				return Config{JoinAddrs: []string{head.Addr()}, JoinStorageOnly: true}, nil
+			},
+			member: true,
+		},
+		{
+			name: "join as shard host",
+			peer: func(_ context.Context, head *Node) (Config, error) {
+				return Config{JoinAddrs: []string{head.Addr()}}, nil
+			},
+			member: true, shardHost: true,
+		},
+		{
+			name: "fetched map, non-member client",
+			peer: func(ctx context.Context, head *Node) (Config, error) {
+				cm, err := FetchClusterMap(ctx, tcpFabric(), []string{head.Addr()})
+				return Config{InitialMap: &cm}, err
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := testCtx(t)
+			head, err := NewNode(Config{Fabric: tcpFabric()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer head.Close()
+			cm := head.ClusterMap()
+			if cm.Epoch != 1 || len(cm.Members) != 1 || cm.Members[0].Addr != head.ID() || !cm.Members[0].ShardHost {
+				t.Fatalf("self-founded map = %+v, want epoch 1 with the head as only shard host", cm)
+			}
+			if got := head.ShardServer().HostedReplicas(); got != 1 {
+				t.Fatalf("head hosts %d shard replicas, want 1", got)
+			}
+			oid := ObjectIDFromString("boot-form")
+			data := payload(1<<20, 8)
+			if err := head.Put(ctx, oid, data); err != nil {
+				t.Fatal(err)
+			}
+			getter := head
+			if tc.peer != nil {
+				cfg, err := tc.peer(ctx, head)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Fabric = tcpFabric()
+				peer, err := NewNode(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer peer.Close()
+				i := peer.ClusterMap().MemberIndex(peer.ID())
+				if (i >= 0) != tc.member {
+					t.Fatalf("peer membership = %v, want %v (map %+v)", i >= 0, tc.member, peer.ClusterMap())
+				}
+				if tc.member && peer.ClusterMap().Members[i].ShardHost != tc.shardHost {
+					t.Fatalf("peer ShardHost = %v, want %v", !tc.shardHost, tc.shardHost)
+				}
+				// The reverse direction: the head reads what the peer wrote.
+				back := ObjectIDFromString("boot-form-back")
+				if err := peer.Put(ctx, back, data[:2048]); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := head.Get(ctx, back); err != nil || !bytes.Equal(got, data[:2048]) {
+					t.Fatalf("head Get of the peer's object: err %v, match %v", err, bytes.Equal(got, data[:2048]))
+				}
+				getter = peer
+			}
+			got, err := getter.Get(ctx, oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("mismatch")
+			}
+		})
 	}
-	defer head.Close()
-	worker, err := NewNode(Config{Fabric: tcpFabric(), DirectoryShards: []string{head.Addr()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer worker.Close()
-	oid := ObjectIDFromString("standalone")
-	data := payload(1<<20, 8)
-	if err := head.Put(ctx, oid, data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := worker.Get(ctx, oid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("mismatch")
+}
+
+// A map that names no directory shard host cannot be booted from: there
+// would be nowhere to route the first directory call.
+func TestNewNodeRejectsMapWithoutShardHosts(t *testing.T) {
+	for _, cm := range []ClusterMap{
+		{},
+		{Epoch: 3, NumShards: 2, DirRF: 1, Members: []types.Member{{Addr: "10.0.0.9:1", State: types.MemberActive}}},
+	} {
+		if n, err := NewNode(Config{Fabric: tcpFabric(), InitialMap: &cm}); err == nil {
+			n.Close()
+			t.Fatalf("NewNode booted from %+v", cm)
+		}
 	}
 }
 

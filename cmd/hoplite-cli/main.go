@@ -2,40 +2,42 @@
 // hoplited cluster: put a file, get an object, delete it, or inspect its
 // directory record.
 //
-//	hoplite-cli -node 10.0.0.2:7077 -shards 10.0.0.1:7077 put my-key ./weights.bin
-//	hoplite-cli -node 10.0.0.3:7077 -shards 10.0.0.1:7077 get my-key ./out.bin
-//	hoplite-cli -node 10.0.0.3:7077 -shards 10.0.0.1:7077 stat my-key
-//	hoplite-cli -node 10.0.0.3:7077 -shards 10.0.0.1:7077 delete my-key
+//	hoplite-cli -seeds 10.0.0.1:7077 put my-key ./weights.bin
+//	hoplite-cli -seeds 10.0.0.1:7077 get my-key ./out.bin
+//	hoplite-cli -seeds 10.0.0.1:7077 stat my-key
+//	hoplite-cli -seeds 10.0.0.1:7077 delete my-key
 //
-// Against a membership-enabled cluster (hoplited -bootstrap/-join) the
-// CLI also drives membership: status prints the cluster map and per-node
-// shard roles, drain retires a node gracefully (waits for its shard
-// handoffs and sole-copy evacuation), and join re-registers a node:
+// -seeds names any one or more running daemons; the CLI fetches the
+// cluster map from the first that answers and derives the directory
+// topology from it. It also drives membership: status prints the cluster
+// map and per-node shard roles, drain retires a node gracefully (waits for
+// its shard handoffs and sole-copy evacuation), and join re-registers a
+// node:
 //
-//	hoplite-cli -shards 10.0.0.1:7077 status
-//	hoplite-cli -shards 10.0.0.1:7077 -timeout 5m drain 10.0.0.4:7077
-//	hoplite-cli -shards 10.0.0.1:7077 join 10.0.0.4:7077
+//	hoplite-cli -seeds 10.0.0.1:7077 status
+//	hoplite-cli -seeds 10.0.0.1:7077 -timeout 5m drain 10.0.0.4:7077
+//	hoplite-cli -seeds 10.0.0.1:7077 join 10.0.0.4:7077
 //
 // The load subcommand drives a small-object put/get workload against the
 // cluster and reports throughput and latency percentiles — the quickest
 // way to see the small-object fast path (inline payloads, write batching,
 // location caching) on real hardware:
 //
-//	hoplite-cli -shards 10.0.0.1:7077 load -keys 256 -value-size 1024 -concurrency 32 -duration 10s
+//	hoplite-cli -seeds 10.0.0.1:7077 load -keys 256 -value-size 1024 -concurrency 32 -duration 10s
 //
 // load -mixed runs a saturating bulk pull stream alongside a cold
 // small-Get loop against one sender and reports both tails — the
 // egress-scheduling fairness demo (compare -sched-classes 1 vs the
 // default 2):
 //
-//	hoplite-cli -shards 10.0.0.1:7077 load -mixed -bulk-size 67108864 -duration 10s
+//	hoplite-cli -seeds 10.0.0.1:7077 load -mixed -bulk-size 67108864 -duration 10s
 //
 // status also prints each member's link-state table: the per-peer RTT and
 // bandwidth estimates (seeded from the configured priors) that the
 // transfer planner ranks senders and shapes reduce trees with.
 //
-// The CLI starts an ephemeral client node that joins the cluster for the
-// duration of the command.
+// The CLI starts an ephemeral client node — booted from the fetched map
+// but not a member of it — for the duration of the command.
 package main
 
 import (
@@ -56,54 +58,36 @@ import (
 )
 
 func main() {
-	shards := flag.String("shards", "", "comma-separated directory shard addresses (required)")
-	replication := flag.Int("replication", 1, "the cluster's directory replication factor (must match the hoplited daemons)")
+	seeds := flag.String("seeds", "", "comma-separated addresses of running daemons to fetch the cluster map from (required)")
 	timeout := flag.Duration("timeout", 30*time.Second, "operation timeout")
 	flag.Parse()
 	args := flag.Args()
 	noKey := map[string]bool{"load": true, "status": true}
-	if *shards == "" || len(args) < 1 || (!noKey[args[0]] && len(args) < 2) {
-		fmt.Fprintln(os.Stderr, "usage: hoplite-cli -shards HOST:PORT[,...] [-replication R] {put KEY FILE | get KEY FILE | stat KEY | delete KEY | status | join ADDR [storage-only] | drain ADDR | load [-keys N] [-value-size B] [-concurrency C] [-duration D] [-mixed [-bulk-size B] [-sched-classes N]]}")
+	if *seeds == "" || len(args) < 1 || (!noKey[args[0]] && len(args) < 2) {
+		fmt.Fprintln(os.Stderr, "usage: hoplite-cli -seeds HOST:PORT[,...] {put KEY FILE | get KEY FILE | stat KEY | delete KEY | status | join ADDR [storage-only] | drain ADDR | load [-keys N] [-value-size B] [-concurrency C] [-duration D] [-mixed [-bulk-size B] [-sched-classes N]]}")
 		os.Exit(2)
 	}
-	var shardList []string
-	for _, s := range strings.Split(*shards, ",") {
-		shardList = append(shardList, strings.TrimSpace(s))
-	}
-	// Mirror hoplited's topology derivation (the shared helper guarantees
-	// it) so the CLI's directory client fails over across shard replicas
-	// instead of pinning to the initial primaries.
-	var topology [][]string
-	if *replication > 1 {
-		topology = hoplite.ReplicaGroups(shardList, *replication)
+	var seedList []string
+	for _, s := range strings.Split(*seeds, ",") {
+		seedList = append(seedList, strings.TrimSpace(s))
 	}
 
-	// Against a membership-enabled cluster the true topology is the
-	// cluster map, not the -shards flag (which may name a single seed):
-	// fetch it first so the ephemeral node derives the real shard count
-	// and replica groups. Static clusters fail the probe and use the
-	// flag-derived topology as before.
+	// The cluster map is the only topology source: fetch it from a seed so
+	// the ephemeral node derives the real shard count and replica groups.
 	fab := &netem.TCP{}
-	var initialMap *hoplite.ClusterMap
-	{
-		mctx, mcancel := context.WithTimeout(context.Background(), 3*time.Second)
-		if cm, err := hoplite.FetchClusterMap(mctx, fab, shardList); err == nil {
-			initialMap = &cm
-		}
-		mcancel()
+	mctx, mcancel := context.WithTimeout(context.Background(), 3*time.Second)
+	cm, err := hoplite.FetchClusterMap(mctx, fab, seedList)
+	mcancel()
+	if err != nil {
+		log.Fatalf("fetch cluster map: no seed in %q answered: %v", *seeds, err)
 	}
 
 	// Every ephemeral client node this command starts goes through one
-	// factory so they share the fabric, shard topology, and fetched map;
-	// mod lets a caller adjust the config (load -mixed disables inlining
-	// on its putter so small objects traverse the data plane).
+	// factory so they share the fabric and fetched map; mod lets a caller
+	// adjust the config (load -mixed disables inlining on its putter so
+	// small objects traverse the data plane).
 	newNode := func(mod func(*hoplite.Config)) (*hoplite.Node, error) {
-		cfg := hoplite.Config{
-			Fabric:            fab,
-			DirectoryShards:   shardList,
-			DirectoryTopology: topology,
-			InitialMap:        initialMap,
-		}
+		cfg := hoplite.Config{Fabric: fab, InitialMap: &cm}
 		if mod != nil {
 			mod(&cfg)
 		}
@@ -199,16 +183,13 @@ func main() {
 func runStatus(ctx context.Context, node *hoplite.Node) error {
 	dir := node.Directory()
 	if _, err := dir.FetchMap(ctx); err != nil {
-		return fmt.Errorf("fetch map (is the cluster membership-enabled?): %w", err)
+		return fmt.Errorf("fetch map: %w", err)
 	}
 	st, err := dir.Status(ctx, "")
 	if err != nil {
 		return err
 	}
 	cm := st.Map
-	if cm.Epoch == 0 {
-		cm = dir.Map()
-	}
 	fmt.Printf("cluster map: epoch %d, %d shards, dir-rf %d, object-rf %d\n",
 		cm.Epoch, cm.NumShards, cm.DirRF, cm.ObjectRF)
 	// Per-node roles: which shards each member leads, per the primaries

@@ -23,7 +23,12 @@ import (
 func TestObjectRefSurvivesEviction(t *testing.T) {
 	ctx := testCtx(t)
 	const objSize = 1 << 20
-	c := startCluster(t, 2, Options{StoreCapacity: int64(objSize)*2 + objSize/2})
+	// Three objects fit under the limit. Puts are admission-controlled —
+	// a node's pinned originals can never exceed it — so the six originals
+	// are split across nodes 0 and 2; node 1 only ever holds evictable
+	// remote copies.
+	c := startCluster(t, 3, Options{MemoryLimit: int64(objSize)*3 + objSize/2})
+	origin := func(i int) *Node { return c.Node(2 * ((i + 1) % 2)) } // 2, 0, 2, 0, 2
 	oid := ObjectIDFromString("pinned-under-pressure")
 	want := payload(objSize, 9)
 	if err := c.Node(0).Put(ctx, oid, want); err != nil {
@@ -34,11 +39,11 @@ func TestObjectRefSurvivesEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flood node 1 with other remote objects. Each Get lands an unpinned
-	// copy, so the store exceeds its two-object budget and must evict —
+	// copy, so the store exceeds its three-object budget and must evict —
 	// but never the ref'd copy, even though it is the LRU entry.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 3; i++ {
 		other := ObjectIDFromString(fmt.Sprintf("pressure-%d", i))
-		if err := c.Node(0).Put(ctx, other, payload(objSize, byte(i))); err != nil {
+		if err := origin(i).Put(ctx, other, payload(objSize, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Node(1).Get(ctx, other); err != nil {
@@ -58,9 +63,9 @@ func TestObjectRefSurvivesEviction(t *testing.T) {
 	}
 	ref.Release()
 	// Released and cold: the next pressure round may now evict it.
-	for i := 4; i < 7; i++ {
+	for i := 3; i < 5; i++ {
 		other := ObjectIDFromString(fmt.Sprintf("pressure-%d", i))
-		if err := c.Node(0).Put(ctx, other, payload(objSize, byte(i))); err != nil {
+		if err := origin(i).Put(ctx, other, payload(objSize, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Node(1).Get(ctx, other); err != nil {

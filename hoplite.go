@@ -65,8 +65,8 @@ type (
 	BytesFuture = core.Future[[]byte]
 	// ReduceFuture resolves to the sources used (Node.ReduceAsync).
 	ReduceFuture = core.Future[[]types.ObjectID]
-	// ClusterMap is the epoch-versioned membership map of an elastic
-	// cluster (hoplited -bootstrap/-join); see FetchClusterMap.
+	// ClusterMap is the epoch-versioned membership map every node boots
+	// from; see FetchClusterMap.
 	ClusterMap = types.ClusterMap
 )
 
@@ -103,40 +103,11 @@ var SumF32 = ReduceOp{Kind: types.Sum, DType: types.F32}
 func NewNode(cfg Config) (*Node, error) { return core.NewNode(cfg) }
 
 // FetchClusterMap asks each seed address in turn for the cluster map of
-// a running membership-enabled cluster (hoplited -bootstrap/-join).
-// Ephemeral clients use it before NewNode to derive the true shard
-// topology from one seed instead of restating the founding list; pass
-// the result as Config.InitialMap. Fails if the cluster runs a static
-// topology.
+// a running cluster. Ephemeral clients use it before NewNode to derive
+// the shard topology from one seed instead of restating the founding
+// list; pass the result as Config.InitialMap.
 func FetchClusterMap(ctx context.Context, fab netem.Fabric, seeds []string) (ClusterMap, error) {
 	return core.FetchClusterMap(ctx, fab, seeds)
-}
-
-// ReplicaGroups derives the directory replica topology from an ordered
-// shard list: group i is shards[i .. i+r-1 mod n] in succession order,
-// with r clamped to [1, len(shards)]. Every member of a cluster —
-// daemons, workers, CLI clients — must derive its topology from the
-// identical list and factor, so this one helper is the only place the
-// wrap-around rule lives.
-func ReplicaGroups(shards []string, r int) [][]string {
-	if len(shards) == 0 {
-		return nil
-	}
-	if r < 1 {
-		r = 1
-	}
-	if r > len(shards) {
-		r = len(shards)
-	}
-	groups := make([][]string, len(shards))
-	for i := range groups {
-		group := make([]string, 0, r)
-		for j := 0; j < r; j++ {
-			group = append(group, shards[(i+j)%len(shards)])
-		}
-		groups[i] = group
-	}
-	return groups
 }
 
 // Options configures a local cluster.
@@ -149,30 +120,15 @@ type Options struct {
 	// objects below it ride inline in directory replies, making a cold
 	// Get of one exactly one RPC. 0 = default (64 KB), negative disables.
 	InlineThreshold int64
-	// SmallObject is the legacy name for InlineThreshold; consulted only
-	// when InlineThreshold is zero.
-	SmallObject int64
-	// MaxBatchDelay is the control-plane write-coalescing window: zero
-	// batches opportunistically (no added latency), positive trades
-	// latency for larger batches, negative disables batching.
-	MaxBatchDelay time.Duration
-	// MaxBatchBytes cuts a batching window short once this many encoded
-	// bytes are queued (0 = default).
-	MaxBatchBytes int
 	// LocationCacheSize bounds each node's cache of directory lookup
 	// results, which lets repeat Gets of remote objects skip the
 	// directory entirely. 0 = default (4096 entries), negative disables.
 	LocationCacheSize int
-	// StoreCapacity bounds each node's store; 0 = unlimited. Legacy
-	// semantics: unpinned LRU eviction at the bound, pinned allocations
-	// overshoot. Prefer MemoryLimit.
-	StoreCapacity int64
 	// MemoryLimit bounds each node's in-memory store and enables
 	// admission backpressure: Put/Create block (ctx-governed) instead of
 	// overshooting when the limit is hit and nothing cold can be demoted
 	// or evicted. Combine with SpillDir for out-of-core workloads whose
-	// aggregate object bytes exceed cluster RAM. Takes precedence over
-	// StoreCapacity.
+	// aggregate object bytes exceed cluster RAM. 0 = unbounded.
 	MemoryLimit int64
 	// SpillDir enables the disk spill tier: each node demotes cold sealed
 	// objects to chunk-aligned files under SpillDir/<node-name> instead
@@ -229,18 +185,10 @@ type Options struct {
 	// LinkHalfLife is the decay half-life for measured link estimates on
 	// quiet links (0 = default 10s).
 	LinkHalfLife time.Duration
-	// Planner selects the transfer planner: "link" (default) ranks
-	// striped-Get senders, sizes their claim spans, and shapes the reduce
-	// tree from measured link state; "static" reproduces the legacy
-	// equal-links behavior exactly.
-	Planner string
 	// SchedClasses configures each node's egress scheduler: 2 (default)
 	// separates latency-sensitive small pulls from bulk transfers under
 	// byte-deficit weighted-fair sharing; 1 disables scheduling.
 	SchedClasses int
-	// SchedQuantum is the scheduler's fairness quantum in bytes (0 =
-	// derived from the transfer chunk size).
-	SchedQuantum int64
 	// BulkCutoff is the pull span in bytes at or above which a pull is
 	// classed as bulk by the egress scheduler (0 = default 1 MiB).
 	BulkCutoff int64
@@ -265,7 +213,7 @@ func (o Options) localityFor(i int) string {
 // coreConfig translates the cluster options into one node's core.Config.
 // Every node construction — initial boot and restart — goes through this
 // single helper so a new knob cannot be silently dropped from one path.
-func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topology [][]string, initialMap *types.ClusterMap, locality string) core.Config {
+func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, initialMap *types.ClusterMap, locality string) core.Config {
 	spillDir := ""
 	if o.SpillDir != "" {
 		// One subdirectory per node: in-process cluster nodes must not
@@ -277,16 +225,11 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topo
 		Fabric:            fab,
 		Name:              name,
 		Listener:          ln,
-		DirectoryTopology: topology,
 		InitialMap:        initialMap,
 		RepairInterval:    o.RepairInterval,
 		InlineThreshold:   o.InlineThreshold,
-		SmallObject:       o.SmallObject,
-		MaxBatchDelay:     o.MaxBatchDelay,
-		MaxBatchBytes:     o.MaxBatchBytes,
 		LocationCacheSize: o.LocationCacheSize,
 		PipelineBlock:     o.PipelineBlock,
-		StoreCapacity:     o.StoreCapacity,
 		MemoryLimit:       o.MemoryLimit,
 		SpillDir:          spillDir,
 		SpillHighWater:    o.SpillHighWater,
@@ -297,9 +240,7 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topo
 		Latency:           o.Latency,
 		Bandwidth:         o.Bandwidth,
 		LinkHalfLife:      o.LinkHalfLife,
-		Planner:           o.Planner,
 		SchedClasses:      o.SchedClasses,
-		SchedQuantum:      o.SchedQuantum,
 		BulkCutoff:        o.BulkCutoff,
 		Locality:          locality,
 		ReduceDegree:      o.ReduceDegree,
@@ -309,16 +250,16 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, topo
 // Cluster is a set of in-process Hoplite nodes sharing a fabric and a
 // sharded, replicated directory.
 type Cluster struct {
-	fab      netem.Fabric
-	em       *netem.Emulated
-	opts     Options
-	addrs    []string         // every node's (stable) listen address
-	topology [][]string       // directory shard replica groups at boot
-	bootMap  types.ClusterMap // epoch-1 membership map the cluster booted with
-	nodes    []*core.Node
+	fab     netem.Fabric
+	em      *netem.Emulated
+	opts    Options
+	addrs   []string         // every node's (stable) listen address
+	bootMap types.ClusterMap // epoch-1 membership map the cluster booted with
+	nodes   []*core.Node
 }
 
-// StartLocalCluster boots n nodes on the loopback fabric. Each node hosts
+// StartLocalCluster boots n nodes on the loopback fabric from one founding
+// cluster map. Each node (or the first Options.ShardNodes of them) hosts
 // one directory shard.
 func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 	if n <= 0 {
@@ -340,15 +281,11 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{fab: fab, em: em, opts: opts}
 
-	// Two-phase start: every node must be configured with the full shard
-	// address list, but addresses are assigned at listen time — so
+	// Two-phase start: every node boots from the same founding map, which
+	// names every address, but addresses are assigned at listen time — so
 	// reserve all listeners first, then start the nodes.
 	lns := make([]net.Listener, 0, n)
 	addrs := make([]string, 0, n)
-	shardNodes := opts.ShardNodes
-	if shardNodes <= 0 || shardNodes > n {
-		shardNodes = n
-	}
 	for i := 0; i < n; i++ {
 		ln, err := fab.Listen(fmt.Sprintf("node-%d", i))
 		if err != nil {
@@ -362,37 +299,20 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	c.addrs = addrs
-	// Shard i's replica group is the R shard-hosting nodes starting at i,
-	// wrapping: group[0] is the initial primary and the rest the
+	// The founding map puts one shard on each of the first ShardNodes
+	// nodes; its derived groups give shard i the R shard hosts starting at
+	// i, wrapping: group[0] is the initial primary and the rest the
 	// succession order.
 	r := opts.ReplicationFactor
 	if r == 0 {
 		r = 3
 	}
-	c.topology = ReplicaGroups(addrs[:shardNodes], r)
-	// Every cluster boots with an epoch-1 cluster map whose derived shard
-	// groups equal the static topology above, so membership starts enabled
-	// (AddNode/DrainNode work) without changing the boot layout.
-	objRF := opts.ObjectReplication
-	if objRF < 1 {
-		objRF = 1
-	}
-	c.bootMap = types.ClusterMap{
-		Epoch:     1,
-		NumShards: shardNodes,
-		DirRF:     r,
-		ObjectRF:  objRF,
-	}
-	for i, addr := range addrs {
-		c.bootMap.Members = append(c.bootMap.Members, types.Member{
-			Addr:      types.NodeID(addr),
-			State:     types.MemberActive,
-			ShardHost: i < shardNodes,
-			Locality:  opts.localityFor(i),
-		})
+	c.bootMap = types.FoundingMap(addrs, opts.ShardNodes, r, max(opts.ObjectReplication, 1))
+	for i := range c.bootMap.Members {
+		c.bootMap.Members[i].Locality = opts.localityFor(i)
 	}
 	for i := 0; i < n; i++ {
-		node, err := core.NewNode(opts.coreConfig(fab, fmt.Sprintf("node-%d", i), lns[i], c.topology, &c.bootMap, opts.localityFor(i)))
+		node, err := core.NewNode(opts.coreConfig(fab, fmt.Sprintf("node-%d", i), lns[i], &c.bootMap, opts.localityFor(i)))
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -442,7 +362,7 @@ func (c *Cluster) AddNode(storageOnly bool) (int, error) {
 	if err != nil {
 		return -1, fmt.Errorf("hoplite: add node %d: %w", i, err)
 	}
-	cfg := c.opts.coreConfig(c.fab, name, ln, nil, nil, c.opts.localityFor(i))
+	cfg := c.opts.coreConfig(c.fab, name, ln, nil, c.opts.localityFor(i))
 	cfg.JoinAddrs = c.liveAddrs()
 	cfg.JoinStorageOnly = storageOnly
 	node, err := core.NewNode(cfg)
@@ -540,8 +460,8 @@ func (c *Cluster) KillNode(i int) error {
 
 // RestartNode replaces a previously killed node with a fresh one under
 // the same fabric name and listen address (a restarted process rejoining,
-// §5.5). Former directory shard hosts are restartable too: the replica
-// topology is a static address list, so the rejoining node comes back as
+// §5.5). Former directory shard hosts are restartable too: a restarted
+// member is still in the cluster map, so the rejoining node comes back as
 // an out-of-sync backup of its shards and is re-synced by each current
 // primary's snapshot push. On failure the node's slot is left empty (nil)
 // and the error returned; the restart can simply be retried — Close and
@@ -567,7 +487,7 @@ func (c *Cluster) RestartNode(i int) error {
 	// replication level. With no live seed (whole-cluster restart), fall
 	// back to booting from the freshest map any slot holds.
 	cm := c.currentMap()
-	cfg := c.opts.coreConfig(c.fab, name, ln, c.topology, &cm, c.opts.localityFor(i))
+	cfg := c.opts.coreConfig(c.fab, name, ln, &cm, c.opts.localityFor(i))
 	if seeds := c.liveAddrs(); len(seeds) > 0 {
 		shardHost := true
 		if mi := cm.MemberIndex(types.NodeID(c.addrs[i])); mi >= 0 {

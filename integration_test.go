@@ -228,18 +228,19 @@ func TestReduceSmallObjects(t *testing.T) {
 	checkConst(t, raw, 0+1+2+3)
 }
 
-// TestEvictionUnderCapacity bounds a store and checks unpinned remote
-// copies are evicted while the pinned origin survives and stays
-// fetchable.
+// TestEvictionUnderCapacity bounds every store and checks unpinned remote
+// copies are evicted while the pinned origins survive and stay fetchable.
+// Puts are admission-controlled, so each origin node holds exactly the
+// three pinned originals that fit under the limit.
 func TestEvictionUnderCapacity(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 2, Options{StoreCapacity: 3 << 20})
+	c := startCluster(t, 3, Options{MemoryLimit: 3 << 20})
 	data := payload(1<<20, 3)
 	var oids []ObjectID
 	for i := 0; i < 6; i++ {
 		oid := ObjectIDFromString(fmt.Sprintf("evict-%d", i))
 		oids = append(oids, oid)
-		if err := c.Node(0).Put(ctx, oid, data); err != nil && i < 3 {
+		if err := c.Node(2*(i/3)).Put(ctx, oid, data); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 		// Node 1 caches a remote copy each time; its 3 MB store must
@@ -251,8 +252,8 @@ func TestEvictionUnderCapacity(t *testing.T) {
 	if used := c.Node(1).Store().Used(); used > 3<<20 {
 		t.Fatalf("node 1 store %d bytes exceeds capacity", used)
 	}
-	// Every object is still fetchable from the pinned origin.
-	for _, oid := range oids[:3] {
+	// Every object is still fetchable from its pinned origin.
+	for _, oid := range oids {
 		got, err := c.Node(1).Get(ctx, oid)
 		if err != nil {
 			t.Fatalf("refetch: %v", err)

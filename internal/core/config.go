@@ -11,7 +11,6 @@ import (
 
 	"hoplite/internal/netem"
 	"hoplite/internal/types"
-	"hoplite/internal/wire"
 )
 
 // Default tuning constants, matching the paper where it states values.
@@ -21,8 +20,6 @@ const (
 	// cold Get of one is a single directory RPC with the payload riding
 	// the Acquire reply.
 	DefaultInlineThreshold = 64 << 10
-	// DefaultSmallObject is the legacy name of DefaultInlineThreshold.
-	DefaultSmallObject = DefaultInlineThreshold
 	// DefaultLocationCacheSize bounds the per-node cache of directory
 	// lookup results (see loccache.go).
 	DefaultLocationCacheSize = 4096
@@ -50,41 +47,26 @@ type Config struct {
 	// Defaults to the listen address.
 	Name string
 	// Listener, if set, is used instead of opening a new one via the
-	// fabric. Cluster bootstrap pre-creates listeners so every node can
-	// be configured with the full directory shard address list.
+	// fabric. Cluster bootstrap pre-creates listeners so the founding map
+	// can name every node's address before any node starts.
 	Listener net.Listener
-	// DirectoryShards lists the control addresses of every directory
-	// shard. Nodes started by a Cluster host one shard each. Required
-	// unless the node hosts the only shard or DirectoryTopology is set.
-	// Legacy single-replica form of DirectoryTopology.
-	DirectoryShards []string
-	// DirectoryTopology lists every directory shard's replica group in
-	// succession order: Topology[i][0] is shard i's initial primary and
-	// the next live replica by index takes over on failure. A node hosts
-	// a replica of every group containing its own address. Takes
-	// precedence over DirectoryShards.
-	DirectoryTopology [][]string
-	// HostShard makes this node host a directory shard on its control
-	// plane.
-	HostShard bool
-	// DirHeartbeatInterval and DirLeaseTimeout tune the directory
-	// replication failure detector: the primary of each hosted shard
-	// heartbeats its backups every interval, and a backup that has not
-	// heard from a live predecessor within the lease promotes itself.
-	// Zero selects the directory package defaults (50ms / 300ms).
-	DirHeartbeatInterval time.Duration
-	DirLeaseTimeout      time.Duration
 
-	// InitialMap, when set, enables epoch-versioned cluster membership
-	// with this boot map: directory shard replica groups are derived from
-	// it (DirectoryTopology/DirectoryShards are ignored), requests are
-	// stamped with its epoch, and later joins/drains re-shape the cluster
-	// live. All founding nodes must boot with the identical map.
+	// Every node boots from an epoch-versioned cluster map: directory shard
+	// replica groups are derived from it, requests are stamped with its
+	// epoch, and later joins/drains re-shape the cluster live. InitialMap
+	// and JoinAddrs are the two ways to supply one; with neither set the
+	// node founds a one-member cluster on its own listen address, which
+	// others then join.
+	//
+	// InitialMap boots from the given map: the founding map (see
+	// types.FoundingMap; all founders must pass the identical one), or a
+	// map fetched from a running cluster by an ephemeral non-member client
+	// (see FetchClusterMap).
 	InitialMap *types.ClusterMap
-	// JoinAddrs lists control addresses of an existing membership-enabled
-	// cluster. When non-empty the node joins at startup: it announces
-	// itself to the membership shard, receives the cluster map, and boots
-	// from it. Takes precedence over every other topology knob.
+	// JoinAddrs lists control addresses of a running cluster. When
+	// non-empty the node joins at startup: it announces itself to the
+	// membership shard, receives the cluster map, and boots from it. Takes
+	// precedence over InitialMap.
 	JoinAddrs []string
 	// JoinStorageOnly joins the node as a pure storage member: it hosts
 	// object bytes but is never assigned a directory shard replica.
@@ -92,8 +74,7 @@ type Config struct {
 	// RepairInterval is the period of the directory re-replication
 	// scanner that restores the map's ObjectRF after permanent node loss
 	// and evacuates sole copies off draining nodes. Zero selects the
-	// directory default (250ms); negative disables the scanner. Only
-	// meaningful with membership enabled.
+	// directory default (250ms); negative disables the scanner.
 	RepairInterval time.Duration
 
 	// InlineThreshold is the inline fast-path threshold in bytes: objects
@@ -101,18 +82,6 @@ type Config struct {
 	// Acquire/Lookup replies, so a cold Get of one is exactly one RPC.
 	// Defaults to DefaultInlineThreshold. Negative disables the fast path.
 	InlineThreshold int64
-	// SmallObject is the legacy name for InlineThreshold; it is consulted
-	// only when InlineThreshold is zero.
-	SmallObject int64
-
-	// MaxBatchDelay is the control-plane write-coalescing window (see
-	// wire.BatchConfig.MaxDelay): zero batches opportunistically with no
-	// added latency, positive values trade latency for larger batches,
-	// and a negative value disables batching (one write+flush per call).
-	MaxBatchDelay time.Duration
-	// MaxBatchBytes cuts a batching window short once this many encoded
-	// bytes are queued. Zero means wire.DefaultMaxBatchBytes.
-	MaxBatchBytes int
 
 	// LocationCacheSize bounds the per-node cache of directory lookup
 	// results that lets repeat Gets of remote objects skip the directory
@@ -123,17 +92,13 @@ type Config struct {
 	PipelineBlock int
 	// ChunkSize is the data-plane wire chunk size.
 	ChunkSize int
-	// StoreCapacity bounds the local store in bytes; 0 means unlimited.
-	// Legacy semantics: unpinned LRU eviction at the bound, pinned
-	// allocations overshoot. Prefer MemoryLimit for new deployments.
-	StoreCapacity int64
 
 	// MemoryLimit bounds the in-memory store in bytes and enables
 	// admission control: a Put/Create that cannot fit under the limit —
 	// even after demoting or evicting every eligible cold object — blocks
 	// (governed by its ctx) instead of overshooting or failing. Combine
-	// with SpillDir for the tiered out-of-core mode. Zero disables
-	// admission; MemoryLimit takes precedence over StoreCapacity.
+	// with SpillDir for the tiered out-of-core mode. Zero leaves the store
+	// unbounded.
 	MemoryLimit int64
 	// SpillDir, when set, enables the disk spill tier: under memory
 	// pressure cold sealed objects are demoted to files in this directory
@@ -178,18 +143,10 @@ type Config struct {
 	// to estimate unmeasured peers from the locality-domain mean.
 	Locality string
 
-	// Planner selects the transfer planner: "link" (default) ranks striped
-	// senders and shapes reduce trees by measured per-link estimates;
-	// "static" keeps the prior-only equal-split behavior.
-	Planner string
-
 	// SchedClasses configures the data-plane egress scheduler: 2 (default)
 	// enables the weighted-fair latency/bulk scheduler so a saturating
 	// striped Get cannot starve a small Get; 1 disables scheduling.
 	SchedClasses int
-	// SchedQuantum is the scheduler's byte-deficit quantum; 0 selects one
-	// chunk frame (the minimum the deficit gate allows).
-	SchedQuantum int64
 	// BulkCutoff is the full-pull size at or above which a pull is
 	// scheduled as bulk; 0 selects transport.DefaultBulkCutoff (1 MB).
 	BulkCutoff int64
@@ -198,24 +155,16 @@ type Config struct {
 	// automatically among {1, 2, n}; otherwise the given d is used
 	// (n-ary when d >= n). Used by the Figure 15 ablation.
 	ReduceDegree int
-
-	// PingInterval is how often reduce coordinators probe participant
-	// liveness. Defaults to 20 ms.
-	PingInterval time.Duration
 }
 
 func (c *Config) withDefaults() Config {
 	cfg := *c
-	if cfg.InlineThreshold == 0 {
-		cfg.InlineThreshold = cfg.SmallObject // legacy alias
-	}
 	if cfg.InlineThreshold == 0 {
 		cfg.InlineThreshold = DefaultInlineThreshold
 	}
 	if cfg.InlineThreshold < 0 {
 		cfg.InlineThreshold = 0
 	}
-	cfg.SmallObject = cfg.InlineThreshold
 	if cfg.LocationCacheSize == 0 {
 		cfg.LocationCacheSize = DefaultLocationCacheSize
 	}
@@ -243,19 +192,8 @@ func (c *Config) withDefaults() Config {
 	if cfg.Bandwidth <= 0 {
 		cfg.Bandwidth = 1.25e9
 	}
-	if cfg.PingInterval <= 0 {
-		cfg.PingInterval = 20 * time.Millisecond
-	}
-	if cfg.Planner == "" {
-		cfg.Planner = "link"
-	}
 	if cfg.SchedClasses == 0 {
 		cfg.SchedClasses = 2
 	}
 	return cfg
-}
-
-// batchConfig translates the batching knobs into the wire package's form.
-func (c *Config) batchConfig() wire.BatchConfig {
-	return wire.BatchConfig{MaxDelay: c.MaxBatchDelay, MaxBytes: c.MaxBatchBytes}
 }

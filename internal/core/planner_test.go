@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -77,33 +78,25 @@ func TestLinkPlannerStripeSpanCap(t *testing.T) {
 	}
 }
 
-// With nothing measured the link planner must reproduce the static
-// planner's decisions exactly: priors in, arrival order and equal spans out.
-func TestLinkPlannerColdMatchesStatic(t *testing.T) {
+// With nothing measured the link planner must treat all links as equal:
+// arrival order, one grid chunk per claim, the priors, the lowest free slot.
+func TestLinkPlannerColdIsEqualLinks(t *testing.T) {
 	lat, bw := 500*time.Microsecond, float64(64<<20)
 	lp := seededPlanner(lat, bw, nil)
-	sp := staticPlanner{latency: lat, bandwidth: bw}
 
 	senders := []types.NodeID{"x", "y", "z"}
-	gotRank := lp.rankSenders(senders)
-	for i, s := range sp.rankSenders(senders) {
-		if gotRank[i] != s {
-			t.Fatalf("cold rankSenders = %v, want arrival order", gotRank)
-		}
+	if got := lp.rankSenders(senders); !reflect.DeepEqual(got, senders) {
+		t.Fatalf("cold rankSenders = %v, want arrival order", got)
 	}
-	gotSpans := lp.stripeSpans(senders, 1<<20)
-	for i, s := range sp.stripeSpans(senders, 1<<20) {
-		if gotSpans[i] != s {
-			t.Fatalf("cold stripeSpans = %v, want equal spans", gotSpans)
-		}
+	if got, want := lp.stripeSpans(senders, 1<<20), []int64{1 << 20, 1 << 20, 1 << 20}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cold stripeSpans = %v, want equal spans %v", got, want)
 	}
 	gl, gb := lp.reduceParams()
 	if gl != lat || gb != bw {
 		t.Fatalf("cold reduceParams = (%v, %g), want priors (%v, %g)", gl, gb, lat, bw)
 	}
-	free := []int{2, 5}
-	if got := lp.chooseSlot(free, func(int) bool { return true }, "x"); got != free[0] {
-		t.Fatalf("cold chooseSlot = %d, want lowest free slot %d", got, free[0])
+	if got := lp.chooseSlot([]int{2, 5}, func(int) bool { return true }, "x"); got != 2 {
+		t.Fatalf("cold chooseSlot = %d, want lowest free slot 2", got)
 	}
 }
 

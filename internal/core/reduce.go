@@ -13,6 +13,10 @@ import (
 	"hoplite/internal/wire"
 )
 
+// pingInterval is how often a reduce coordinator probes participant
+// liveness.
+const pingInterval = 20 * time.Millisecond
+
 // reduceSpec tells a participant node to run one slot of a reduce tree
 // (§3.4.2). The slot's intermediate output is an ordinary directory object
 // named (ReduceID, Slot, Epoch), which its parent pulls through the normal
@@ -705,7 +709,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 
 	// Event loop: absorb arrivals, probe participant liveness, finish
 	// when the target object is complete.
-	ping := time.NewTicker(n.cfg.PingInterval)
+	ping := time.NewTicker(pingInterval)
 	defer ping.Stop()
 	for {
 		select {

@@ -59,8 +59,7 @@ type Client struct {
 	groups      [][]string       // per-shard replica addresses; re-derived on map installs
 	cmap        types.ClusterMap // installed cluster map (Epoch 0 = membership disabled)
 	onMap       func(types.ClusterMap)
-	batch       wire.BatchConfig // write batching for shard connections
-	retiredWire wire.BatchStats  // batching counters of closed connections
+	retiredWire wire.BatchStats // batching counters of closed connections
 	conns       map[string]*wire.Client
 	primary     []int // per-shard guess of the current primary's group index
 	readAt      []int // per-shard replica index currently serving reads
@@ -119,15 +118,6 @@ func NewReplicatedClient(self types.NodeID, groups [][]string, dial Dialer) *Cli
 		c.opSeq.Store(int64(binary.BigEndian.Uint64(seed[:]) >> 2)) // positive, headroom to count up
 	}
 	return c
-}
-
-// SetBatchConfig sets the write-batching config used for shard
-// connections. Call it before the first RPC; connections already
-// established keep their old config.
-func (c *Client) SetBatchConfig(cfg wire.BatchConfig) {
-	c.mu.Lock()
-	c.batch = cfg
-	c.mu.Unlock()
 }
 
 // ClientStats is a snapshot of the client's control-plane activity, used
@@ -221,14 +211,11 @@ func (c *Client) connTo(ctx context.Context, addr string) (*wire.Client, error) 
 	}
 	c.mu.Unlock()
 
-	c.mu.Lock()
-	batch := c.batch
-	c.mu.Unlock()
 	nc, err := c.dial(ctx, addr)
 	if err != nil {
 		return nil, fmt.Errorf("directory: dial shard %s: %w", addr, err)
 	}
-	wc := wire.NewClientWith(nc, c.onNotify, batch)
+	wc := wire.NewClient(nc, c.onNotify)
 	wc.OnOrphan(c.compensateOrphan)
 	wc.OnDown(func() { c.connDown(addr, wc) })
 

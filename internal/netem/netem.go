@@ -234,9 +234,9 @@ func (e *Emulated) Listen(node string) (net.Listener, error) {
 }
 
 // ListenOn opens a listener for node on a specific address. A restarted
-// node uses it to reclaim its previous identity: directory replica
-// topologies are static address lists, so a shard host that comes back
-// must come back at the same address.
+// node uses it to reclaim its previous identity: the cluster map names
+// members (and through them shard replicas) by address, so a shard host
+// that comes back must come back at the same address.
 func (e *Emulated) ListenOn(node, addr string) (net.Listener, error) {
 	sn := e.node(node)
 	sn.mu.Lock()

@@ -51,7 +51,7 @@ type Tier struct {
 	Capacity int64
 	// HighWater/LowWater are fractions of Capacity bounding the demotion
 	// hysteresis (defaults DefaultHighWater/DefaultLowWater). They only
-	// apply when Demote is set; legacy eviction triggers at Capacity.
+	// apply when Demote is set; plain eviction triggers at Capacity.
 	HighWater, LowWater float64
 	// Admission makes CreateAdmit block (ctx-governed) while the new
 	// object cannot fit under Capacity, instead of overshooting. Plain

@@ -261,7 +261,7 @@ func TestManyParallelTasks(t *testing.T) {
 
 func TestArgRefZeroCopy(t *testing.T) {
 	_, tc := startTaskCluster(t, 3)
-	payload := make([]byte, 128<<10) // above SmallObject: a real store ref
+	payload := make([]byte, 128<<10) // above the inline threshold: a real store ref
 	for i := range payload {
 		payload[i] = byte(i)
 	}

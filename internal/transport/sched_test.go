@@ -170,23 +170,23 @@ func TestEgressConcurrentMixNoDeadlock(t *testing.T) {
 	}
 }
 
-// ConfigureScheduler must clamp the quantum to at least one chunk frame:
-// a quantum smaller than a single send would wedge the deficit gate.
-func TestConfigureSchedulerClampsQuantum(t *testing.T) {
+// ConfigureScheduler must size the quantum to one chunk frame: a quantum
+// smaller than a single send would wedge the deficit gate.
+func TestConfigureSchedulerQuantumIsOneChunkFrame(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	s := NewServer(ln, nil, 8<<10, nil)
-	s.ConfigureScheduler(2, 1, 0)
+	s.ConfigureScheduler(2, 0)
 	if s.sched == nil {
 		t.Fatal("scheduler not installed")
 	}
 	if want := int64(8<<10 + frameOverhead); s.sched.quantum != want {
-		t.Fatalf("quantum %d, want clamped %d", s.sched.quantum, want)
+		t.Fatalf("quantum %d, want %d", s.sched.quantum, want)
 	}
-	s.ConfigureScheduler(1, 0, 0)
+	s.ConfigureScheduler(1, 0)
 	if s.sched != nil {
 		t.Fatal("classes=1 must remove the scheduler")
 	}

@@ -162,12 +162,12 @@ func NewServer(ln net.Listener, get Getter, chunkSize int, onFail SendFailFunc) 
 }
 
 // ConfigureScheduler installs (classes >= 2) or removes (classes <= 1) the
-// weighted-fair egress scheduler. quantum is the byte-deficit one class may
-// lead the other by; it is clamped to at least one chunk frame, which is
-// what makes the deficit gate deadlock-free. A full pull of at least
-// bulkCutoff bytes is classed as bulk (ranged pulls always are); <= 0
+// weighted-fair egress scheduler. The byte-deficit one class may lead the
+// other by is one chunk frame — the smallest quantum that keeps the deficit
+// gate deadlock-free, and so the tightest isolation. A full pull of at
+// least bulkCutoff bytes is classed as bulk (ranged pulls always are); <= 0
 // keeps DefaultBulkCutoff. Call before Serve.
-func (s *Server) ConfigureScheduler(classes int, quantum, bulkCutoff int64) {
+func (s *Server) ConfigureScheduler(classes int, bulkCutoff int64) {
 	if bulkCutoff > 0 {
 		s.bulkCutoff = bulkCutoff
 	}
@@ -175,10 +175,7 @@ func (s *Server) ConfigureScheduler(classes int, quantum, bulkCutoff int64) {
 		s.sched = nil
 		return
 	}
-	if minQ := int64(s.chunk) + frameOverhead; quantum < minQ {
-		quantum = minQ
-	}
-	s.sched = newEgress(quantum)
+	s.sched = newEgress(int64(s.chunk) + frameOverhead)
 }
 
 // SetTelemetry installs the per-pull observer called after each pull with

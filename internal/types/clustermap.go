@@ -58,9 +58,9 @@ type Member struct {
 	Locality string
 }
 
-// ClusterMap is the epoch-versioned cluster description. Epoch 0 is the
-// zero value and means "no map": legacy fixed-topology clusters run
-// entirely at epoch 0 and every membership feature stays disabled.
+// ClusterMap is the epoch-versioned cluster description. Every node boots
+// from one at Epoch >= 1 (see FoundingMap); Epoch 0 is the zero value and
+// means "no map installed yet".
 type ClusterMap struct {
 	Epoch     int64
 	NumShards int // directory shard count, fixed for the cluster lifetime
@@ -79,6 +79,28 @@ var (
 	// no home.
 	ErrLastShardHost = errors.New("clustermap: cannot remove last shard host")
 )
+
+// FoundingMap builds the epoch-1 map a cluster is founded with: every
+// address an active member in the given order, the first shardHosts of them
+// (all when shardHosts is out of range) hosting one directory shard each,
+// replicated dirRF ways. All founders must build it from identical
+// arguments. Callers stamp Locality labels on the members afterwards.
+func FoundingMap(addrs []string, shardHosts, dirRF, objectRF int) ClusterMap {
+	if shardHosts <= 0 || shardHosts > len(addrs) {
+		shardHosts = len(addrs)
+	}
+	m := ClusterMap{
+		Epoch:     1,
+		NumShards: shardHosts,
+		DirRF:     max(dirRF, 1),
+		ObjectRF:  objectRF,
+		Members:   make([]Member, len(addrs)),
+	}
+	for i, a := range addrs {
+		m.Members[i] = Member{Addr: NodeID(a), State: MemberActive, ShardHost: i < shardHosts}
+	}
+	return m
+}
 
 // Clone returns a deep copy of the map.
 func (m ClusterMap) Clone() ClusterMap {
@@ -189,10 +211,10 @@ func (m ClusterMap) WithRemove(addr NodeID) (ClusterMap, error) {
 
 // DeriveGroups maps the membership onto NumShards directory replica
 // groups: group i is the DirRF active shard hosts starting at position
-// i%len (wrapping), in join order. At bootstrap this reproduces exactly
-// the static ReplicaGroups layout the cluster was seeded with, so epoch 1
-// changes nothing; later epochs reshuffle only as members come and go.
-// Draining and removed members appear in no group.
+// i%len (wrapping), in join order, with DirRF clamped to [1, hosts]. This
+// is the only place the wrap-around rule lives; every member derives its
+// topology from the map through it, and later epochs reshuffle only as
+// members come and go. Draining and removed members appear in no group.
 func (m ClusterMap) DeriveGroups() [][]string {
 	hosts := m.activeShardHosts()
 	groups := make([][]string, m.NumShards)

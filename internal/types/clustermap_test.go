@@ -266,6 +266,50 @@ func TestDeriveGroups(t *testing.T) {
 	}
 }
 
+// The founding map and DeriveGroups together are the only statement of the
+// boot topology rule: shard i lives on the r shard hosts starting at the
+// i-th, wrapping, in address order, with r clamped to [1, hosts]. Pin it
+// for every small cluster shape, including head-node layouts where only a
+// prefix of the members hosts shards.
+func TestFoundingMapDerivesWrapAroundGroups(t *testing.T) {
+	all := []string{"a:1", "b:1", "c:1", "d:1", "e:1"}
+	for n := 1; n <= len(all); n++ {
+		for shardNodes := 0; shardNodes <= n; shardNodes++ { // 0 = every node
+			for r := 0; r <= 4; r++ {
+				m := FoundingMap(all[:n], shardNodes, r, 2)
+				hosts := shardNodes
+				if hosts == 0 {
+					hosts = n
+				}
+				if m.Epoch != 1 || m.NumShards != hosts || m.ObjectRF != 2 || len(m.Members) != n {
+					t.Fatalf("FoundingMap(n=%d, shardNodes=%d, r=%d) = %+v", n, shardNodes, r, m)
+				}
+				for i, mem := range m.Members {
+					if mem.Addr != NodeID(all[i]) || mem.State != MemberActive || mem.ShardHost != (i < hosts) {
+						t.Fatalf("n=%d shardNodes=%d: member %d = %+v", n, shardNodes, i, mem)
+					}
+				}
+				width := min(max(r, 1), hosts)
+				want := make([][]string, hosts)
+				for i := range want {
+					for j := 0; j < width; j++ {
+						want[i] = append(want[i], all[(i+j)%hosts])
+					}
+				}
+				if got := m.DeriveGroups(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d shardNodes=%d r=%d: groups %v, want %v", n, shardNodes, r, got, want)
+				}
+			}
+		}
+	}
+	// A spot check in literal form: 5 nodes, 3 head nodes, R=2.
+	got := FoundingMap(all, 3, 2, 1).DeriveGroups()
+	want := [][]string{{"a:1", "b:1"}, {"b:1", "c:1"}, {"c:1", "a:1"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("head-node groups %v, want %v", got, want)
+	}
+}
+
 func TestClusterMapEncodeDecode(t *testing.T) {
 	for _, m := range []ClusterMap{
 		{},

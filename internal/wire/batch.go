@@ -11,8 +11,8 @@
 // goroutine drains whatever has accumulated with ONE conn.Write per
 // wakeup. While that write is in flight, new frames pile into the queue
 // and ride the next write, so batch size adapts to load: an idle
-// connection still sends every frame immediately (no added latency when
-// MaxDelay is zero), a busy one coalesces dozens of frames per syscall.
+// connection still sends every frame immediately (batching never adds
+// latency), a busy one coalesces dozens of frames per syscall.
 // Frames drain in enqueue order, preserving the transport invariant that
 // a request precedes its MethodCancel on the wire.
 package wire
@@ -21,31 +21,13 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hoplite/internal/types"
 )
 
-// DefaultMaxBatchBytes is the queue size at which the flusher stops
-// waiting for more frames and writes immediately.
-const DefaultMaxBatchBytes = 256 << 10
-
-// BatchConfig controls write-side frame coalescing on one connection.
-// The zero value is the recommended setting: opportunistic coalescing
-// with no artificial delay.
-type BatchConfig struct {
-	// MaxDelay is an extra coalescing window: after the first frame is
-	// queued the flusher waits up to MaxDelay for more frames before
-	// writing, trading latency for larger batches. Zero (the default)
-	// keeps batching opportunistic — frames are written as soon as the
-	// flusher is free, so an uncontended call pays no added latency.
-	// Negative disables batching entirely: each frame is encoded and
-	// written synchronously by its caller, the pre-batching behavior.
-	MaxDelay time.Duration
-	// MaxBytes cuts a MaxDelay window short once this many encoded bytes
-	// are queued. Zero means DefaultMaxBatchBytes.
-	MaxBytes int
-}
+// maxQueuedBytes is the backpressure cap on the write queue: enqueuers
+// block once this many encoded bytes are waiting for the flusher.
+const maxQueuedBytes = 1 << 20
 
 // BatchStats counts write-side batching activity on one connection.
 // Frames/Flushes is the average batch size; it grows with concurrency.
@@ -65,8 +47,6 @@ func (s *BatchStats) Add(other BatchStats) {
 // batcher owns all writes to one connection.
 type batcher struct {
 	w     io.Writer
-	cfg   BatchConfig
-	cap   int         // backpressure threshold on queued bytes
 	onErr func(error) // invoked (once, on the flusher goroutine) on write failure
 
 	mu     sync.Mutex
@@ -84,14 +64,9 @@ type batcher struct {
 	bytes   atomic.Int64
 }
 
-func newBatcher(w io.Writer, cfg BatchConfig, onErr func(error)) *batcher {
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = DefaultMaxBatchBytes
-	}
+func newBatcher(w io.Writer, onErr func(error)) *batcher {
 	b := &batcher{
 		w:     w,
-		cfg:   cfg,
-		cap:   4 * cfg.MaxBytes,
 		onErr: onErr,
 		queue: make([]byte, 0, 1024),
 		spare: make([]byte, 0, 1024),
@@ -99,23 +74,17 @@ func newBatcher(w io.Writer, cfg BatchConfig, onErr func(error)) *batcher {
 		stop:  make(chan struct{}),
 	}
 	b.drain.L = &b.mu
-	if cfg.MaxDelay >= 0 {
-		go b.run()
-	}
+	go b.run()
 	return b
 }
 
-// enqueue encodes m onto the queue and wakes the flusher. In disabled
-// mode (MaxDelay < 0) it writes the frame synchronously instead. It
-// blocks only when the queue is over the backpressure cap — i.e. the
-// connection cannot keep up — mirroring how the old locked write path
-// blocked callers behind a slow conn.
+// enqueue encodes m onto the queue and wakes the flusher. It blocks only
+// when the queue is over the backpressure cap — i.e. the connection cannot
+// keep up — so a slow conn stalls its callers instead of growing the queue
+// without bound.
 func (b *batcher) enqueue(m *Message) error {
-	if b.cfg.MaxDelay < 0 {
-		return b.writeNow(m)
-	}
 	b.mu.Lock()
-	for len(b.queue) >= b.cap && b.failed == nil && !b.closed {
+	for len(b.queue) >= maxQueuedBytes && b.failed == nil && !b.closed {
 		b.drain.Wait()
 	}
 	if err := b.deadLocked(); err != nil {
@@ -137,24 +106,6 @@ func (b *batcher) enqueue(m *Message) error {
 	return nil
 }
 
-// writeNow is the legacy unbatched path: encode and write one frame
-// under the lock, exactly as the pre-batching Client did.
-func (b *batcher) writeNow(m *Message) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if err := b.deadLocked(); err != nil {
-		return err
-	}
-	err := writeMessage(b.w, m) //hoplite:locked-io batching disabled: the lock exists to serialize whole frames on the shared conn
-	b.frames.Add(1)
-	if err != nil {
-		b.failLocked(err)
-		return err
-	}
-	b.flushes.Add(1)
-	return nil
-}
-
 func (b *batcher) deadLocked() error {
 	if b.failed != nil {
 		return b.failed
@@ -167,7 +118,6 @@ func (b *batcher) deadLocked() error {
 
 // run is the flusher: one goroutine per connection draining the queue.
 func (b *batcher) run() {
-	var timer *time.Timer
 	for {
 		select {
 		case <-b.kick:
@@ -175,45 +125,10 @@ func (b *batcher) run() {
 			b.flush() // final drain, best effort
 			return
 		}
-		if d := b.cfg.MaxDelay; d > 0 && !b.full() {
-			// Coalescing window: wait for more frames until the window
-			// closes or the queue passes MaxBytes.
-			if timer == nil {
-				timer = time.NewTimer(d)
-			} else {
-				timer.Reset(d)
-			}
-		window:
-			for {
-				select {
-				case <-b.kick:
-					if b.full() {
-						break window
-					}
-				case <-timer.C:
-					break window
-				case <-b.stop:
-					break window
-				}
-			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
 		if !b.flush() {
 			return
 		}
 	}
-}
-
-// full reports whether the queue has reached the MaxBytes threshold.
-func (b *batcher) full() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue) >= b.cfg.MaxBytes
 }
 
 // flush swaps the queue out under the lock, writes it with the lock

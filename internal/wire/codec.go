@@ -297,26 +297,6 @@ func UnmarshalMessage(body []byte, m *Message) error {
 	return nil
 }
 
-// writeMessage encodes m into pooled scratch and writes the frame to w.
-func writeMessage(w io.Writer, m *Message) error {
-	body := encodedBodySize(m)
-	if body > MaxFrameSize {
-		// Reject before pool.Get so an oversized message can't allocate
-		// (and park in the pool) a huge scratch buffer.
-		return ErrFrameTooLarge
-	}
-	//hoplite:pool-transfer buf aliases scratch (same backing array unless AppendMessage grew it); exactly one of the two is returned to the pool on every path
-	scratch := pool.Get(4 + body)
-	buf, err := AppendMessage(scratch[:0], m)
-	if err != nil {
-		pool.Put(scratch)
-		return err
-	}
-	_, err = w.Write(buf)
-	pool.Put(buf)
-	return err
-}
-
 // readMessage reads one frame from r into m, enforcing MaxFrameSize
 // before allocating anything.
 func readMessage(r io.Reader, m *Message) error {

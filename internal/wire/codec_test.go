@@ -124,9 +124,11 @@ func TestCodecStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMessages()
 	for i := range msgs {
-		if err := writeMessage(&buf, &msgs[i]); err != nil {
+		frame, err := AppendMessage(nil, &msgs[i])
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(frame)
 	}
 	br := bufio.NewReader(&buf)
 	for i := range msgs {

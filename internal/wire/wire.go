@@ -104,9 +104,10 @@ type Message struct {
 	Num2    int64
 	Gen     int64
 	// Epoch stamps the sender's cluster-map epoch on membership-aware
-	// requests. 0 means unstamped (legacy fixed-topology peers); a
-	// receiver holding a newer map bounces stamped requests with
-	// ErrStaleMap and its encoded map in the response payload.
+	// requests. 0 means unstamped (methods no map change can misroute, and
+	// clients of a bare map-less directory shard); a receiver holding a
+	// newer map bounces stamped requests with ErrStaleMap and its encoded
+	// map in the response payload.
 	Epoch    int64
 	Complete bool
 	Wait     bool
@@ -184,18 +185,13 @@ type Client struct {
 // NewClient wraps an established connection. notify, if non-nil, receives
 // server push messages (FlagNotify) synchronously from the read loop.
 func NewClient(conn net.Conn, notify func(Message)) *Client {
-	return NewClientWith(conn, notify, BatchConfig{})
-}
-
-// NewClientWith is NewClient with an explicit write-batching config.
-func NewClientWith(conn net.Conn, notify func(Message), cfg BatchConfig) *Client {
 	c := &Client{
 		conn:      conn,
 		pending:   make(map[uint64]chan Message),
 		abandoned: make(map[uint64]Message),
 		notify:    notify,
 	}
-	c.b = newBatcher(conn, cfg, func(err error) {
+	c.b = newBatcher(conn, func(err error) {
 		c.fail(fmt.Errorf("wire: send: %w", err))
 	})
 	go c.readLoop()
@@ -448,7 +444,6 @@ type Handler func(ctx context.Context, m Message, p *Peer) Message
 type Server struct {
 	ln      net.Listener
 	handler Handler
-	batch   BatchConfig
 
 	mu    sync.Mutex
 	peers map[*Peer]struct{}
@@ -458,13 +453,7 @@ type Server struct {
 
 // NewServer returns a server ready to Serve on ln.
 func NewServer(ln net.Listener, h Handler) *Server {
-	return NewServerWith(ln, h, BatchConfig{})
-}
-
-// NewServerWith is NewServer with an explicit write-batching config for
-// the per-connection response/notify path.
-func NewServerWith(ln net.Listener, h Handler, cfg BatchConfig) *Server {
-	return &Server{ln: ln, handler: h, batch: cfg, peers: make(map[*Peer]struct{}), done: make(chan struct{})}
+	return &Server{ln: ln, handler: h, peers: make(map[*Peer]struct{}), done: make(chan struct{})}
 }
 
 // Addr returns the listening address.
@@ -488,7 +477,7 @@ func (s *Server) Serve() error {
 
 func (s *Server) serveConn(conn net.Conn) {
 	peer := &Peer{conn: conn}
-	peer.b = newBatcher(conn, s.batch, func(error) { peer.close() })
+	peer.b = newBatcher(conn, func(error) { peer.close() })
 	s.mu.Lock()
 	select {
 	case <-s.done:

@@ -4,24 +4,30 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"hoplite/internal/netem"
 )
 
-// A striped Get must skew its claim spans toward the sender the receiver
-// has measured as fastest: seeding node 3's link tracker with a 4x
-// bandwidth edge for node 0 makes node 0 claim longer chunk runs per trip,
-// so it serves more bytes of the object than either slow sender even
-// though the underlying fabric is symmetric.
+// A striped Get must drain the sender with the fastest link hardest: node
+// 0's link to the receiver is capped at 4x the rate of nodes 1 and 2, and
+// the receiver's link tracker is seeded with the same 4x edge (so node 0
+// also claims longer chunk runs per trip). The skew is physically real —
+// the byte split is set by the caps, not by which worker goroutine happens
+// to win a race on a symmetric fabric.
 func TestStripedGetSkewsSpansTowardFastSender(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 4, Options{StripeThreshold: 1 << 20, MaxSources: 4})
+	c := startCluster(t, 4, Options{Emulate: &netem.LinkConfig{}, StripeThreshold: 1 << 20, MaxSources: 4})
 
-	// Seed the receiver's tracker: node 0 at ~200 MB/s, nodes 1-2 at
-	// ~50 MB/s. Repeated samples pin the EWMA regardless of gain.
+	// Node 0 at 200 MB/s, nodes 1-2 at 50 MB/s, on the wire and in the
+	// receiver's tracker. Repeated samples pin the EWMA regardless of gain.
 	links := c.Node(3).Links()
-	for i := 0; i < 10; i++ {
-		links.ObserveTransfer(c.Node(0).ID(), 200<<20, time.Second)
-		links.ObserveTransfer(c.Node(1).ID(), 50<<20, time.Second)
-		links.ObserveTransfer(c.Node(2).ID(), 50<<20, time.Second)
+	for i, bw := range []int64{200 << 20, 50 << 20, 50 << 20} {
+		if err := c.SetPairLink(i, 3, netem.LinkConfig{BytesPerSec: float64(bw)}); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 10; s++ {
+			links.ObserveTransfer(c.Node(i).ID(), bw, time.Second)
+		}
 	}
 
 	data := payload(32<<20, 9)

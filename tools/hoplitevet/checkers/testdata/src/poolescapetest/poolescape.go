@@ -68,8 +68,8 @@ func okSlicePut(n int) {
 	pool.Put(buf[:n])
 }
 
-// okAnnotatedAlias mirrors wire.writeMessage: the buffer escapes through
-// an append alias the walker cannot track.
+// okAnnotatedAlias covers an annotated transfer: the buffer escapes
+// through an append alias the walker cannot track.
 func okAnnotatedAlias(n int) {
 	//hoplite:pool-transfer fixture: out aliases buf and the callee returns it
 	buf := pool.Get(n)
