@@ -399,7 +399,8 @@ func (s *chaosState) waitRepaired(ctx context.Context, what string) {
 }
 
 // quiesce checks the convergence invariants: replication restored, every
-// live node on the same map epoch, and exactly one primary per shard.
+// live node on the same map epoch, exactly one primary per shard, and no
+// sender lease left outstanding.
 func (s *chaosState) quiesce(ctx context.Context, shards int) {
 	s.t.Helper()
 	s.waitRepaired(ctx, "quiesce")
@@ -416,8 +417,10 @@ func (s *chaosState) quiesce(ctx context.Context, shards int) {
 	s.fail("quiesce: cluster did not converge: %s", last)
 }
 
-// converged returns "" when epochs agree and each shard has exactly one
-// primary among live nodes, else a description of the divergence.
+// converged returns "" when epochs agree, each shard has exactly one
+// primary among live nodes and no live replica records a sender lease
+// (every lease granted was returned), else a description of the
+// divergence.
 func (s *chaosState) converged(shards int) string {
 	epoch := int64(-1)
 	primaries := make([]int, shards)
@@ -431,6 +434,9 @@ func (s *chaosState) converged(shards int) string {
 			epoch = cm.Epoch
 		} else if cm.Epoch != epoch {
 			return fmt.Sprintf("node %d at epoch %d, others at %d", i, cm.Epoch, epoch)
+		}
+		if l := n.ShardServer().Stats().Leases; l != 0 {
+			return fmt.Sprintf("node %d directory still records %d sender leases", i, l)
 		}
 		for _, r := range n.ShardServer().Roles() {
 			if r.Primary && !r.Retiring {

@@ -54,6 +54,7 @@ func TestWarmGetZeroDirectoryRPCs(t *testing.T) {
 	c.Node(1).Store().Delete(oid)
 
 	before := settleDirCalls(t, c, 1)
+	samples := c.Node(1).Links().Estimate(c.Node(0).ID()).Samples
 	got, err := c.Node(1).Get(ctx, oid)
 	if err != nil {
 		t.Fatalf("warm Get: %v", err)
@@ -67,6 +68,11 @@ func TestWarmGetZeroDirectoryRPCs(t *testing.T) {
 	if cs := c.Node(1).CacheStats(); cs.Hits < 1 {
 		t.Fatalf("warm Get did not hit the location cache: %+v", cs)
 	}
+	// The cached pull feeds the link estimator like any other pull.
+	if est := c.Node(1).Links().Estimate(c.Node(0).ID()); est.Samples <= samples {
+		t.Fatalf("warm Get left no link sample for the cached sender (%d samples before, %+v after)", samples, est)
+	}
+	waitLeasesReturned(t, c)
 }
 
 // TestColdInlineGetOneRPC asserts the other acceptance bound: a cold Get
@@ -129,6 +135,7 @@ func TestCachedSenderDeadFailsOver(t *testing.T) {
 	if after := c.Node(2).Directory().Stats().Calls; after != before {
 		t.Fatalf("cached failover issued %d directory RPCs, want 0", after-before)
 	}
+	waitLeasesReturned(t, c, 0)
 }
 
 // TestCachedHolderDeletesMidGet races a warm cached Get against the
@@ -171,6 +178,7 @@ func TestCachedHolderDeletesMidGet(t *testing.T) {
 		// The deletion must stick: no node may keep serving the object.
 		waitGone(t, c, oid)
 	}
+	waitLeasesReturned(t, c)
 }
 
 // TestInlineGetDeleteNoResurrection races inline Gets against a

@@ -79,6 +79,7 @@ func TestBroadcastSenderFailure(t *testing.T) {
 	if err := <-done3; err != nil {
 		t.Fatalf("node3 Get: %v", err)
 	}
+	waitLeasesReturned(t, c, 1)
 }
 
 // TestStripedGetSenderFailure kills one of a striped Get's senders
@@ -127,6 +128,7 @@ func TestStripedGetSenderFailure(t *testing.T) {
 	if c.Node(0).DataStats().RangedPulls <= before[0] || c.Node(2).DataStats().RangedPulls <= before[2] {
 		t.Fatal("surviving senders served no ranged pulls")
 	}
+	waitLeasesReturned(t, c, 1)
 }
 
 // TestReduceParticipantFailure kills a reduce participant mid-stream; the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -27,6 +28,22 @@ func startCluster(t *testing.T, n int, opts Options) *Cluster {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// waitLeasesReturned checks lease conservation once transfers quiesce:
+// every sender lease a Get was granted has been returned, as recorded by
+// the directory replica on every node but the dead ones (killed or closed
+// nodes, whose replicas stopped applying updates).
+func waitLeasesReturned(t *testing.T, c *Cluster, dead ...int) {
+	t.Helper()
+	waitCond(t, "every sender lease to be returned", func() bool {
+		for i, n := range c.Nodes() {
+			if n != nil && !slices.Contains(dead, i) && n.ShardServer().Stats().Leases != 0 {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func payload(size int, seed byte) []byte {

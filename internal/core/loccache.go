@@ -12,24 +12,13 @@ package core
 
 import (
 	"container/list"
-	"context"
-	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
-	"hoplite/internal/transport"
 	"hoplite/internal/types"
 )
-
-// staleReadTimeout bounds time-to-first-byte on a cached direct pull. A
-// sender that no longer holds the object parks the request behind its
-// serveBuffer store-change wait (up to 10s); the watchdog converts that
-// stall into a quick fallback through the directory.
-const staleReadTimeout = 2 * time.Second
 
 // locEntry is one cached object: where its complete (or spilled) copies
 // live, as of the last directory response or push.
@@ -154,11 +143,12 @@ func (c *locCache) setWatch(oid types.ObjectID, cancel func()) bool {
 }
 
 // markLocal flags that a cached direct pull materialized an unregistered
-// local store copy for oid.
-func (c *locCache) markLocal(oid types.ObjectID, local bool) {
+// local store copy for oid: only the entry's push subscription keeps it
+// honest.
+func (c *locCache) markLocal(oid types.ObjectID) {
 	c.mu.Lock()
 	if e, ok := c.m[oid]; ok {
-		e.local = local
+		e.local = true
 	}
 	c.mu.Unlock()
 }
@@ -235,7 +225,7 @@ func (n *Node) armLocCache(oid types.ObjectID, size, gen int64, seeds []types.No
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		ctx, cancel := n.rpcCtx()
 		defer cancel()
 		rec, cancelWatch, err := n.dir.Watch(ctx, oid, func(u directory.Update) { n.onLocUpdate(oid, u) })
 		if err != nil {
@@ -332,119 +322,4 @@ func (n *Node) tombstonedSince(oid types.ObjectID, since time.Time) bool {
 	t, ok := n.tombs[oid]
 	n.tombMu.Unlock()
 	return ok && t.After(since)
-}
-
-// startCachedPull launches a direct data-plane pull from a cached sender
-// set, bypassing the directory. ok=false means the caller should take
-// the normal acquire path (size unknown, or the store entry is owned by
-// a racing writer).
-func (n *Node) startCachedPull(oid types.ObjectID, p *pull, snap locSnapshot) (*buffer.Buffer, bool) {
-	if snap.size < 0 {
-		return nil, false
-	}
-	buf, err := n.store.Create(oid, snap.size, false)
-	if err != nil {
-		return nil, false
-	}
-	n.signalStoreChange()
-	p.buf = buf
-	close(p.ready)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.runCachedPull(oid, p, buf, snap)
-	}()
-	return buf, true
-}
-
-// runCachedPull tries each cached sender in turn over the data plane. No
-// lease is held — serveBuffer serves pulls regardless — so a successful
-// transfer leaves the copy unregistered: markLocal ties its lifetime to
-// the cache entry's push subscription. When every cached sender turns
-// out stale the entry is dropped and the transfer falls back through the
-// directory with the classic failover loop.
-func (n *Node) runCachedPull(oid types.ObjectID, p *pull, buf *buffer.Buffer, snap locSnapshot) {
-	ctx := n.ctx
-	finish := func() {
-		n.mu.Lock()
-		if n.pulls[oid] == p {
-			delete(n.pulls, oid)
-		}
-		n.mu.Unlock()
-	}
-	for _, sender := range snap.senders {
-		err := n.directPull(ctx, oid, sender, buf)
-		if err == nil {
-			n.locs.markLocal(oid, true)
-			finish()
-			return
-		}
-		if ctx.Err() != nil {
-			buf.Fail(types.ErrClosed)
-			finish()
-			return
-		}
-		if errors.Is(err, types.ErrDeleted) {
-			n.noteTombstone(oid)
-			n.dropLocEntry(oid)
-			n.store.Delete(oid) // fails buf with ErrDeleted
-			finish()
-			return
-		}
-		// Sender gone or stale: try the next cached copy.
-	}
-	// Cache miss in disguise: every remembered sender is gone. Drop the
-	// entry and fall back through the directory, resuming from whatever
-	// prefix the stale attempts managed to land.
-	n.locs.stale.Add(1)
-	n.dropLocEntry(oid)
-	lease, err := n.dir.AcquireSender(ctx, oid, true)
-	if err != nil {
-		buf.Fail(err)
-		n.store.Delete(oid)
-		finish()
-		return
-	}
-	var (
-		gen int64
-		ok  bool
-	)
-	if buf, gen, ok = n.rebindLease(oid, p, buf, lease, snap.gen); !ok {
-		finish()
-		return
-	}
-	n.runPull(oid, p, buf, lease.Sender, gen) // runPull deletes n.pulls[oid]
-}
-
-// directPull is one unleased data-plane pull from a cached sender, with a
-// time-to-first-byte watchdog: a sender that no longer holds the object
-// would otherwise park us behind its serveBuffer wait for up to 10s.
-// Once bytes flow, the transfer is governed by the normal failure rules.
-func (n *Node) directPull(ctx context.Context, oid types.ObjectID, sender types.NodeID, buf *buffer.Buffer) error {
-	addr := string(sender)
-	dial := func(c context.Context) (net.Conn, error) { return n.dialData(c, addr) }
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	start := buf.Watermark()
-	watchdogDone := make(chan struct{})
-	if start < buf.Size() {
-		go func() {
-			defer close(watchdogDone)
-			wctx, wcancel := context.WithTimeout(pctx, staleReadTimeout)
-			defer wcancel()
-			_, _, _ = buf.WaitAt(wctx, start)
-			if pctx.Err() == nil && buf.Watermark() == start {
-				cancel() // nothing arrived in time: treat the sender as stale
-			}
-		}()
-	} else {
-		close(watchdogDone)
-	}
-	err := transport.Pull(pctx, dial, n.id, oid, start, buf)
-	cancel()
-	<-watchdogDone
-	if err != nil && pctx.Err() != nil && ctx.Err() == nil && !errors.Is(err, types.ErrDeleted) {
-		err = types.ErrNoSender // watchdog fired: report a stale sender
-	}
-	return err
 }

@@ -958,6 +958,11 @@ func (s *Server) unsubscribe(m wire.Message, p *wire.Peer) wire.Message {
 type Stats struct {
 	Objects int
 	Inline  int
+	// Leases counts senders currently leased to a receiver in the shards
+	// this server hosts (a replica rotated out of its group leaves stale
+	// entries behind; they are not counted). Once transfers quiesce it
+	// must return to 0: every granted lease is returned exactly once.
+	Leases int
 }
 
 // Stats returns current shard statistics.
@@ -965,9 +970,12 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{Objects: len(s.entries)}
-	for _, e := range s.entries {
+	for oid, e := range s.entries {
 		if e.inline != nil {
 			st.Inline++
+		}
+		if sh := s.shardOfOID(oid); sh < 0 || s.reps[sh] != nil {
+			st.Leases += len(e.leasedTo)
 		}
 	}
 	return st

@@ -530,15 +530,7 @@ type Observer func(bytes int64, d time.Duration)
 // un-failed at its current watermark so the caller can resume from
 // another sender.
 func Pull(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset int64, dst *buffer.Buffer) error {
-	return PullObserved(ctx, dial, self, oid, offset, dst, nil)
-}
-
-// PullObserved is Pull with a transfer Observer (nil is allowed).
-func PullObserved(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset int64, dst *buffer.Buffer, obs Observer) error {
-	if offset != dst.Watermark() {
-		return fmt.Errorf("transport: pull offset %d != watermark %d", offset, dst.Watermark())
-	}
-	return pull(ctx, dial, self, oid, offset, 0, dst, true, obs)
+	return PullObserved(ctx, dial, self, oid, offset, 0, dst, nil)
 }
 
 // PullRange streams exactly [offset, offset+length) of oid from the
@@ -549,25 +541,24 @@ func PullObserved(ctx context.Context, dial DialFunc, self types.NodeID, oid typ
 // releases the claim so the missing bytes — and only those — can be
 // re-fetched from another sender.
 func PullRange(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer) error {
-	return PullRangeObserved(ctx, dial, self, oid, offset, length, dst, nil)
-}
-
-// PullRangeObserved is PullRange with a transfer Observer (nil is allowed).
-func PullRangeObserved(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, obs Observer) error {
 	if length <= 0 {
 		return fmt.Errorf("transport: pull range length %d", length)
 	}
-	if offset < 0 || offset+length > dst.Size() {
-		return fmt.Errorf("transport: pull range [%d,%d) outside object of %d bytes", offset, offset+length, dst.Size())
-	}
-	return pull(ctx, dial, self, oid, offset, length, dst, false, obs)
+	return PullObserved(ctx, dial, self, oid, offset, length, dst, nil)
 }
 
-// pull is the shared receive loop: it requests [offset, offset+length)
-// (length 0 = to end) and writes arriving chunks at their absolute offset,
-// which equals dst's watermark for a full pull and extends a claimed range
-// fill for a ranged one. sealAtEOF seals dst after a complete full pull.
-func pull(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, sealAtEOF bool, obs Observer) error {
+// PullObserved is the shared receive loop behind Pull (length 0: from the
+// watermark to the end, sealing dst) and PullRange (length > 0), with a
+// transfer Observer (nil is allowed). Arriving chunks are written at their
+// absolute offset, which equals dst's watermark for a full pull and
+// extends a claimed range's fill for a ranged one.
+func PullObserved(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, obs Observer) error {
+	if length == 0 && offset != dst.Watermark() {
+		return fmt.Errorf("transport: pull offset %d != watermark %d", offset, dst.Watermark())
+	}
+	if offset < 0 || length < 0 || offset+length > dst.Size() {
+		return fmt.Errorf("transport: pull range [%d,%d) outside object of %d bytes", offset, offset+length, dst.Size())
+	}
 	conn, err := dial(ctx)
 	if err != nil {
 		return fmt.Errorf("transport: dial sender: %w", err)
@@ -647,7 +638,7 @@ func pull(ctx context.Context, dial DialFunc, self types.NodeID, oid types.Objec
 			if got != end {
 				return fmt.Errorf("transport: short stream: %d of %d bytes", got-offset, end-offset)
 			}
-			if sealAtEOF {
+			if length == 0 {
 				dst.Seal()
 			}
 			return nil

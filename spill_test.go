@@ -167,6 +167,7 @@ func TestStripedGetWithSpilledSender(t *testing.T) {
 	if after.RangedPulls == before.RangedPulls {
 		t.Fatalf("spilled sender served no ranged pulls (stats %+v)", after)
 	}
+	waitLeasesReturned(t, c)
 }
 
 // TestRestartRediscoversSpill: a restarted worker rescans its spill
@@ -269,4 +270,5 @@ func TestRestoreUnderEvictionPressure(t *testing.T) {
 	if n.Store().Demotions() == 0 {
 		t.Fatal("no demotions under a 4x working set")
 	}
+	waitLeasesReturned(t, c)
 }

@@ -78,6 +78,7 @@ func stripedSendersSized(t *testing.T, maxSources, size int) int {
 			senders++
 		}
 	}
+	waitLeasesReturned(t, c)
 	return senders
 }
 
