@@ -197,8 +197,6 @@ type Options struct {
 	// label. Peers without measurements inherit their domain's mean link
 	// estimate instead of the global prior.
 	Localities []string
-	// PipelineBlock overrides the pipelining block size.
-	PipelineBlock int
 }
 
 // localityFor returns the configured locality label for node i ("" when
@@ -229,7 +227,6 @@ func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, init
 		RepairInterval:    o.RepairInterval,
 		InlineThreshold:   o.InlineThreshold,
 		LocationCacheSize: o.LocationCacheSize,
-		PipelineBlock:     o.PipelineBlock,
 		MemoryLimit:       o.MemoryLimit,
 		SpillDir:          spillDir,
 		SpillHighWater:    o.SpillHighWater,

@@ -28,11 +28,6 @@ func NewHopliteEnv(sc Scale, n, degree int) (*HopliteEnv, error) {
 		Emulate:         &link,
 		InlineThreshold: sc.SmallObject(),
 		ReduceDegree:    degree,
-		// Scale the pipelining block with the object sizes: the paper's
-		// 4 MB block assumes ≥32 MB objects; scaled-down objects need a
-		// proportionally finer block or chain pipelining degenerates to
-		// store-and-forward.
-		PipelineBlock: sc.PipelineBlock(),
 	})
 	if err != nil {
 		return nil, err

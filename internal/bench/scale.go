@@ -75,16 +75,6 @@ func (sc Scale) SmallObject() int64 {
 	return t
 }
 
-// PipelineBlock returns the scaled pipelining block: the paper's 4 MB
-// divided by the size divisor, floored at 64 KiB.
-func (sc Scale) PipelineBlock() int {
-	b := int((4 << 20) / sc.SizeDivisor)
-	if b < 64<<10 {
-		b = 64 << 10
-	}
-	return b
-}
-
 // Link returns the netem link configuration for this scale.
 func (sc Scale) Link() netem.LinkConfig {
 	return netem.LinkConfig{Latency: sc.Latency, BytesPerSec: sc.Bandwidth}

@@ -13,6 +13,11 @@
 // transfer, or a streaming reduce — simultaneously feed downstream
 // transfers, which is how a partial copy acts as a broadcast intermediary
 // or a reduce input.
+//
+// Payload arrays of PoolMin bytes and more come from internal/pool and go
+// back to it once the buffer's owner has retired it (Retire) and its last
+// reader pin has dropped (Unref). Every reader of Bytes therefore holds a
+// pin, or has marked the buffer escaped, for as long as it reads.
 package buffer
 
 import (
@@ -21,6 +26,7 @@ import (
 	"io"
 	"sync"
 
+	"hoplite/internal/pool"
 	"hoplite/internal/types"
 )
 
@@ -29,13 +35,24 @@ import (
 // sub-range pulls, are handed out in units of this size.
 const DefaultLedgerChunk = 4 << 20
 
+// PoolMin is the smallest payload whose array is taken from, and
+// recycled to, internal/pool. Smaller payloads are allocated exactly.
+const PoolMin = 64 << 10
+
+// recycle returns a retired, unpinned payload array; tests replace it to
+// count returns.
+var recycle = pool.Put
+
 // Buffer is a fixed-size object payload tracked chunk by chunk. The zero
 // value is not usable; call New or NewChunked.
 type Buffer struct {
 	mu      sync.Mutex
 	updated chan struct{} // closed and replaced on every state change
-	data    []byte
-	chunk   int64
+	// data is the payload array: nil once it went back to the pool. Bytes
+	// past the watermark are unspecified (a recycled array is not zeroed).
+	data  []byte
+	size  int64
+	chunk int64
 	// fill[i] is the number of contiguous bytes written from chunk i's
 	// start. A chunk is present when fill[i] == chunkLen(i). Every writer
 	// streams sequentially from a position it owns, so per-chunk contiguous
@@ -55,10 +72,15 @@ type Buffer struct {
 	present   int64 // total bytes written, contiguous or not
 	sealed    bool
 	err       error
-	// refs counts live reader pins (ObjectRef handles). The store skips
-	// buffers with live refs during LRU eviction, so a pinned read-only
-	// view is never invalidated under its reader.
+	// refs counts live reader pins (ObjectRef handles, pulls being served,
+	// reduce inputs). The store skips buffers with live refs during LRU
+	// eviction, and a retired buffer keeps its array until refs is 0, so a
+	// pinned read-only view is never invalidated under its reader.
 	refs int
+	// pooled marks an array taken from internal/pool; escaped marks one
+	// handed out without a pin (it stays with the garbage collector); and
+	// retired marks a buffer its owner has dropped.
+	pooled, escaped, retired bool
 	// watchers are completion callbacks registered with OnDone, fired
 	// exactly once when the buffer seals (nil) or fails (the error). They
 	// let futures resolve without parking a goroutine per waiter.
@@ -84,16 +106,26 @@ func NewChunked(size, chunk int64) *Buffer {
 		chunk = DefaultLedgerChunk
 	}
 	n := int((size + chunk - 1) / chunk)
-	return &Buffer{
+	b := &Buffer{
 		updated: make(chan struct{}),
-		data:    make([]byte, size),
+		size:    size,
 		chunk:   chunk,
 		fill:    make([]int64, n),
 		claimed: make([]bool, n),
+		pooled:  size >= PoolMin,
 	}
+	if b.pooled {
+		// The Buffer owns the array from here: the last of Retire and
+		// Unref hands it back.
+		b.data = pool.Get(int(size))
+	} else {
+		b.data = make([]byte, size)
+	}
+	return b
 }
 
-// FromBytes returns a sealed buffer wrapping b without copying.
+// FromBytes returns a sealed buffer wrapping b without copying. The
+// caller's array is never recycled.
 func FromBytes(b []byte) *Buffer {
 	size := int64(len(b))
 	chunk := int64(DefaultLedgerChunk)
@@ -101,6 +133,7 @@ func FromBytes(b []byte) *Buffer {
 	buf := &Buffer{
 		updated:   make(chan struct{}),
 		data:      b,
+		size:      size,
 		chunk:     chunk,
 		fill:      make([]int64, n),
 		claimed:   make([]bool, n),
@@ -118,7 +151,7 @@ func FromBytes(b []byte) *Buffer {
 // chunkLen returns the byte length of chunk i (the last chunk may be
 // short).
 func (b *Buffer) chunkLen(i int) int64 {
-	cl := int64(len(b.data)) - int64(i)*b.chunk
+	cl := b.size - int64(i)*b.chunk
 	if cl > b.chunk {
 		cl = b.chunk
 	}
@@ -126,7 +159,7 @@ func (b *Buffer) chunkLen(i int) int64 {
 }
 
 // Size returns the total object size.
-func (b *Buffer) Size() int64 { return int64(len(b.data)) }
+func (b *Buffer) Size() int64 { return b.size }
 
 // ChunkSize returns the ledger chunk granularity.
 func (b *Buffer) ChunkSize() int64 { return b.chunk }
@@ -178,8 +211,8 @@ func (b *Buffer) advanceLocked() {
 	wm := int64(b.wmChunk) * b.chunk
 	if b.wmChunk < n {
 		wm += b.fill[b.wmChunk]
-	} else if wm > int64(len(b.data)) {
-		wm = int64(len(b.data))
+	} else if wm > b.size {
+		wm = b.size
 	}
 	b.watermark = wm
 }
@@ -224,7 +257,7 @@ func (b *Buffer) Append(p []byte) error {
 	if b.sealed {
 		panic("buffer: append to sealed buffer")
 	}
-	if b.watermark+int64(len(p)) > int64(len(b.data)) {
+	if b.watermark+int64(len(p)) > b.size {
 		panic("buffer: append past end of object")
 	}
 	b.writeLocked(p, b.watermark)
@@ -249,7 +282,7 @@ func (b *Buffer) WriteAt(p []byte, off int64) error {
 	if b.sealed {
 		panic("buffer: write to sealed buffer")
 	}
-	if off < 0 || off+int64(len(p)) > int64(len(b.data)) {
+	if off < 0 || off+int64(len(p)) > b.size {
 		panic("buffer: write past end of object")
 	}
 	b.writeLocked(p, off)
@@ -296,8 +329,8 @@ func (b *Buffer) ClaimNext(max int64) (off, length int64, ok bool) {
 		end++
 	}
 	length = int64(end) * b.chunk
-	if length > int64(len(b.data)) {
-		length = int64(len(b.data))
+	if length > b.size {
+		length = b.size
 	}
 	length -= off
 	return off, length, true
@@ -333,7 +366,7 @@ func (b *Buffer) Seal() {
 		b.mu.Unlock()
 		return
 	}
-	if b.watermark != int64(len(b.data)) {
+	if b.watermark != b.size {
 		// Unlock before panicking: a caller that recovers (tests of
 		// writer misuse do) must not be left holding a dead buffer whose
 		// every later method call deadlocks.
@@ -373,18 +406,32 @@ func (b *Buffer) Fail(err error) {
 }
 
 // Ref takes one reader pin on the buffer. While Refs is non-zero the
-// store will not evict the buffer, so a zero-copy view handed to a reader
-// stays backed by live, unrecycled memory. Every Ref must be balanced by
-// exactly one Unref.
+// store will not evict the buffer and a retired buffer keeps its array, so
+// a zero-copy view handed to a reader stays backed by live, unrecycled
+// memory. Every Ref must be balanced by exactly one Unref.
 func (b *Buffer) Ref() {
 	b.mu.Lock()
 	b.refs++
 	b.mu.Unlock()
 }
 
+// TryRef takes one reader pin unless the buffer has been retired, whose
+// array may already be back in the pool. It reports whether it pinned;
+// a true result must be balanced by exactly one Unref.
+func (b *Buffer) TryRef() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.retired {
+		return false
+	}
+	b.refs++
+	return true
+}
+
 // Unref drops one reader pin. Dropping the last pin fires the store's
 // release hook (outside the buffer lock), waking admission waiters for
-// whom this buffer just became evictable.
+// whom this buffer just became evictable, and recycles the array of a
+// retired buffer.
 func (b *Buffer) Unref() {
 	b.mu.Lock()
 	if b.refs <= 0 {
@@ -393,13 +440,56 @@ func (b *Buffer) Unref() {
 	}
 	b.refs--
 	var hook func()
+	var arr []byte
 	if b.refs == 0 {
 		hook = b.releaseHook
+		arr = b.takeArrayLocked()
 	}
 	b.mu.Unlock()
 	if hook != nil {
 		hook()
 	}
+	if arr != nil {
+		recycle(arr)
+	}
+}
+
+// Retire is the owner dropping the buffer for good (a store Delete): it
+// fails the buffer with types.ErrDeleted if still being written, and its
+// pooled array goes back to the pool now or, when readers still hold
+// pins, at the last Unref. A retired buffer is never reset or re-pinned
+// with TryRef. Eviction and demotion do not retire: they hand the buffer
+// to the garbage collector or the spill tier intact.
+func (b *Buffer) Retire() {
+	b.Fail(types.ErrDeleted)
+	b.mu.Lock()
+	b.retired = true
+	arr := b.takeArrayLocked()
+	b.mu.Unlock()
+	if arr != nil {
+		recycle(arr)
+	}
+}
+
+// Escape marks the array as handed out without a pin (an unpinned
+// immutable view): it is never recycled and stays valid for as long as
+// anyone references it.
+func (b *Buffer) Escape() {
+	b.mu.Lock()
+	b.escaped = true
+	b.mu.Unlock()
+}
+
+// takeArrayLocked detaches the array of a retired, unpinned, pooled buffer
+// for recycling; it returns nil in every other case, so an array is handed
+// back at most once.
+func (b *Buffer) takeArrayLocked() []byte {
+	if !b.retired || b.refs > 0 || !b.pooled || b.escaped {
+		return nil
+	}
+	arr := b.data
+	b.data = nil
+	return arr
 }
 
 // OnRelease installs the hook run each time the last reader pin drops.
@@ -443,10 +533,14 @@ func (b *Buffer) OnDone(fn func(error)) {
 // keeping the first offset bytes that were already received. It is used
 // when a transfer restarts under a new object generation after a failure.
 // All claims are dropped, as is any non-contiguous striped progress beyond
-// offset. Reset panics if offset exceeds the current watermark.
+// offset. Reset panics if offset exceeds the current watermark. A retired
+// buffer stays failed: its array may already serve another object.
 func (b *Buffer) Reset(offset int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if b.retired {
+		return
+	}
 	if offset > b.watermark || offset < 0 {
 		panic("buffer: reset past watermark")
 	}
@@ -561,7 +655,9 @@ func (b *Buffer) DumpTo(w io.Writer) error {
 
 // Bytes returns the underlying payload. Callers must treat the result as
 // read-only; bytes beyond the watermark are not yet meaningful. This is the
-// zero-copy path behind "immutable Get" (§3.3).
+// zero-copy path behind "immutable Get" (§3.3). The caller must hold a pin
+// (Ref, TryRef, store.Acquire) for as long as it reads, or have marked the
+// buffer escaped: a retired, unpinned array goes back to the pool.
 func (b *Buffer) Bytes() []byte { return b.data }
 
 // CopyTo streams the buffer's contents into w in chunks of at most

@@ -23,10 +23,8 @@ const (
 	// DefaultLocationCacheSize bounds the per-node cache of directory
 	// lookup results (see loccache.go).
 	DefaultLocationCacheSize = 4096
-	// DefaultPipelineBlock is the block granularity of in-node copies and
-	// streaming reduce (§5.1.1 reports a 4 MB pipelining block).
-	DefaultPipelineBlock = 4 << 20
-	// DefaultChunkSize is the data-plane wire chunk.
+	// DefaultChunkSize is the data-plane wire chunk, which is also the run
+	// a reduce slot folds and forwards at a time.
 	DefaultChunkSize = 256 << 10
 	// DefaultStripeThreshold is the minimum object size for which a Get
 	// stripes ranged pulls across multiple complete copies. Below it a
@@ -88,9 +86,8 @@ type Config struct {
 	// and pull straight from a known complete-copy holder. Zero selects
 	// DefaultLocationCacheSize; negative disables the cache.
 	LocationCacheSize int
-	// PipelineBlock is the in-node copy and reduce streaming block size.
-	PipelineBlock int
-	// ChunkSize is the data-plane wire chunk size.
+	// ChunkSize is the data-plane wire chunk size, and the run a reduce
+	// slot folds and forwards at a time.
 	ChunkSize int
 
 	// MemoryLimit bounds the in-memory store in bytes and enables
@@ -170,9 +167,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.LocationCacheSize < 0 {
 		cfg.LocationCacheSize = 0
-	}
-	if cfg.PipelineBlock <= 0 {
-		cfg.PipelineBlock = DefaultPipelineBlock
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = DefaultChunkSize

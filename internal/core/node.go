@@ -128,7 +128,7 @@ func NewNode(cfg Config) (*Node, error) {
 		PriorBandwidth: c.Bandwidth,
 		HalfLife:       c.LinkHalfLife,
 	})
-	n.plan = linkPlanner{links: n.links, latency: c.Latency, bandwidth: c.Bandwidth}
+	n.plan = linkPlanner{links: n.links, latency: c.Latency, bandwidth: c.Bandwidth, self: n.id}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	if c.SpillDir != "" {
 		sp, err := spill.Open(c.SpillDir)
@@ -725,12 +725,14 @@ func (n *Node) signalStoreChange() {
 // chunk-aligned disk file (full or ranged pulls alike) without being
 // rehydrated into memory. A freshly leased receiver may be asked for the
 // object a moment before its local buffer exists (its Acquire response is
-// still in flight), so absence waits briefly for creation.
+// still in flight), so absence waits briefly for creation. A buffer is
+// served under a pin, dropped when the pull is done, so a Delete racing
+// the pull cannot recycle the array mid-send.
 func (n *Node) serveBuffer(ctx context.Context, oid types.ObjectID) (transport.Payload, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if buf, ok := n.store.Get(oid); ok {
-			return transport.Payload{Buf: buf}, nil
+		if buf, ok := n.store.Acquire(oid); ok {
+			return transport.Payload{Buf: buf, Release: buf.Unref}, nil
 		}
 		if n.spill != nil {
 			if f, size, err := n.spill.Open(oid); err == nil {

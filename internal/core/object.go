@@ -174,16 +174,13 @@ func (n *Node) getOnce(ctx context.Context, oid types.ObjectID) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	// Pin the entry we are streaming from so eviction cannot drop it
-	// mid-copy. If the store entry was replaced (object re-created), keep
-	// streaming the buffer we joined: its writers fail it if superseded.
-	if pinned, ok := n.store.Acquire(oid); ok {
-		if pinned == buf {
-			defer pinned.Unref()
-		} else {
-			pinned.Unref()
-		}
+	// Pin the buffer we are streaming from, so neither eviction nor a
+	// Delete's recycling takes its array mid-copy. One already retired
+	// (deleted, possibly re-created since) is a transient miss.
+	if !buf.TryRef() {
+		return nil, types.ErrAborted
 	}
+	defer buf.Unref()
 	out := make([]byte, buf.Size())
 	var off int64
 	for off < buf.Size() {
@@ -203,14 +200,17 @@ func (n *Node) getOnce(ctx context.Context, oid types.ObjectID) ([]byte, error) 
 //
 // Compat shim over GetRef: the returned slice is NOT pinned — after this
 // call returns, store pressure may evict the copy (the bytes stay valid
-// to the Go runtime but the store forgets them). New code should hold an
+// to the Go runtime but the store forgets them). To keep the slice valid
+// its array is marked escaped and never recycled. New code should hold an
 // ObjectRef from GetRef instead and Release it when done.
 func (n *Node) GetImmutable(ctx context.Context, oid types.ObjectID) ([]byte, error) {
 	ref, err := n.GetRef(ctx, oid)
 	if err != nil {
 		return nil, err
 	}
-	data := ref.Bytes()
+	buf := ref.checked()
+	buf.Escape()
+	data := buf.Bytes()
 	ref.Release()
 	return data, nil
 }

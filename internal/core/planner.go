@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -29,6 +30,7 @@ type linkPlanner struct {
 	links     *linkstate.Tracker
 	latency   time.Duration
 	bandwidth float64
+	self      types.NodeID // the planning node: a reduce coordinator
 }
 
 // rankSenders orders leased senders most-preferred (highest estimated
@@ -98,12 +100,18 @@ func (p linkPlanner) reduceParams() (time.Duration, float64) {
 }
 
 // chooseSlot picks which free tree slot the next ready source (hosted on
-// host) fills; leaf reports whether a slot has no children. It fills the
-// lowest free slot except for hosts measured well below the median peer
+// host) fills; root is the tree's root slot and leaf reports whether a
+// slot has no children. A source held by the planning node itself takes a
+// free root: the reduced object then lands where the caller waits for it
+// instead of costing one more transfer back. Otherwise it fills the lowest
+// free slot except for hosts measured well below the median peer
 // bandwidth, which are steered to a free leaf slot: a leaf uploads its
 // subtree output once and receives nothing, so a starved link contributes
 // its object without sitting on every descendant's critical path.
-func (p linkPlanner) chooseSlot(free []int, leaf func(int) bool, host types.NodeID) int {
+func (p linkPlanner) chooseSlot(free []int, root int, leaf func(int) bool, host types.NodeID) int {
+	if host == p.self && slices.Contains(free, root) {
+		return root
+	}
 	est := p.links.Estimate(host)
 	if !est.Measured {
 		return free[0]

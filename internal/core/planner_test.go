@@ -95,19 +95,21 @@ func TestLinkPlannerColdIsEqualLinks(t *testing.T) {
 	if gl != lat || gb != bw {
 		t.Fatalf("cold reduceParams = (%v, %g), want priors (%v, %g)", gl, gb, lat, bw)
 	}
-	if got := lp.chooseSlot([]int{2, 5}, func(int) bool { return true }, "x"); got != 2 {
+	if got := lp.chooseSlot([]int{2, 5}, 5, func(int) bool { return true }, "x"); got != 2 {
 		t.Fatalf("cold chooseSlot = %d, want lowest free slot 2", got)
 	}
 }
 
 // Measured link state must shift the reduce degree away from what the
-// priors alone would pick: a fast-prior cluster chooses a binary tree for a
-// small reduce, but once the links are measured an order of magnitude
-// slower, the bandwidth term dominates and the chain (d=1) wins Eq. 1.
+// priors alone would pick: on the fast priors a binary tree's fewer hops
+// beat the chain for a 4 MiB reduce, but once the links are measured three
+// orders of magnitude slower, the bandwidth term dominates and the chain
+// (d=1) wins Eq. 1.
 func TestLinkPlannerReduceParamsShiftDegree(t *testing.T) {
 	const (
-		n    = 16
-		size = 64 << 10
+		n     = 16
+		size  = 4 << 20
+		chunk = DefaultChunkSize
 	)
 	priorLat, priorBW := 200*time.Microsecond, 1.25e9
 	p := seededPlanner(priorLat, priorBW, map[types.NodeID]float64{
@@ -117,7 +119,7 @@ func TestLinkPlannerReduceParamsShiftDegree(t *testing.T) {
 	p.links.ObserveRTT("a", 200*time.Microsecond)
 	p.links.ObserveRTT("b", 200*time.Microsecond)
 
-	dPrior := chooseDegree(n, priorLat, priorBW, size)
+	dPrior := chooseDegree(n, priorLat, priorBW, size, chunk)
 	if dPrior != 2 {
 		t.Fatalf("degree from priors = %d, want 2", dPrior)
 	}
@@ -125,8 +127,37 @@ func TestLinkPlannerReduceParamsShiftDegree(t *testing.T) {
 	if bw > 2<<20 {
 		t.Fatalf("measured bandwidth estimate = %g, want ~1 MiB/s", bw)
 	}
-	if dMeasured := chooseDegree(n, lat, bw, size); dMeasured != 1 {
+	if dMeasured := chooseDegree(n, lat, bw, size, chunk); dMeasured != 1 {
 		t.Fatalf("degree from measured links = %d, want 1 (chain)", dMeasured)
+	}
+}
+
+// The coordinator's own source takes the root slot, so the reduced object
+// lands where the caller waits for it; in a chain, arrival order alone
+// would make it the deepest leaf. Every other host keeps arrival order,
+// and a taken root falls back to it too.
+func TestLinkPlannerChooseSlotRootsAtCoordinator(t *testing.T) {
+	p := seededPlanner(200*time.Microsecond, 100<<20, map[types.NodeID]float64{
+		"coord": 10 << 20, // measured slow: the root rule still wins
+		"h1":    100 << 20,
+		"h2":    100 << 20,
+	})
+	p.self = "coord"
+	parent, children := treeShape(8, 1)
+	root := treeRoot(parent)
+	if root != 7 {
+		t.Fatalf("chain root = %d, want 7", root)
+	}
+	isLeaf := func(s int) bool { return len(children[s]) == 0 }
+	free := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	if got := p.chooseSlot(free, root, isLeaf, "coord"); got != root {
+		t.Fatalf("coordinator's source assigned slot %d, want root %d", got, root)
+	}
+	if got := p.chooseSlot(free, root, isLeaf, "h1"); got != 0 {
+		t.Fatalf("peer's source assigned slot %d, want lowest free 0", got)
+	}
+	if got := p.chooseSlot([]int{3, 4}, root, isLeaf, "coord"); got != 3 {
+		t.Fatalf("coordinator's source with the root taken assigned slot %d, want 3", got)
 	}
 }
 
@@ -140,7 +171,8 @@ func TestLinkPlannerChooseSlotSteersSlowHostToLeaf(t *testing.T) {
 		"h3":   100 << 20,
 		"slow": 10 << 20, // < slowFraction x median (100 MB/s)
 	})
-	_, children := treeShape(7, 2)
+	parent, children := treeShape(7, 2)
+	root := treeRoot(parent)
 	isLeaf := func(s int) bool { return len(children[s]) == 0 }
 	var interior, leaf int = -1, -1
 	for s := 0; s < 7; s++ {
@@ -156,18 +188,18 @@ func TestLinkPlannerChooseSlotSteersSlowHostToLeaf(t *testing.T) {
 	}
 	free := []int{interior, leaf}
 
-	if got := p.chooseSlot(free, isLeaf, "slow"); got != leaf {
+	if got := p.chooseSlot(free, root, isLeaf, "slow"); got != leaf {
 		t.Fatalf("slow host assigned slot %d, want leaf %d", got, leaf)
 	}
 	// A healthy measured host and an unmeasured host keep arrival order.
-	if got := p.chooseSlot(free, isLeaf, "h1"); got != interior {
+	if got := p.chooseSlot(free, root, isLeaf, "h1"); got != interior {
 		t.Fatalf("healthy host assigned slot %d, want lowest free %d", got, interior)
 	}
-	if got := p.chooseSlot(free, isLeaf, "stranger"); got != interior {
+	if got := p.chooseSlot(free, root, isLeaf, "stranger"); got != interior {
 		t.Fatalf("unmeasured host assigned slot %d, want lowest free %d", got, interior)
 	}
 	// With no free leaf left the slow host still gets a slot.
-	if got := p.chooseSlot([]int{interior}, isLeaf, "slow"); got != interior {
+	if got := p.chooseSlot([]int{interior}, root, isLeaf, "slow"); got != interior {
 		t.Fatalf("slow host with no free leaf assigned %d, want %d", got, interior)
 	}
 }

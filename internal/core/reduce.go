@@ -9,6 +9,7 @@ import (
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
+	"hoplite/internal/pool"
 	"hoplite/internal/types"
 	"hoplite/internal/wire"
 )
@@ -23,7 +24,11 @@ const pingInterval = 20 * time.Millisecond
 // data plane — this is what lets reduce outputs stream into downstream
 // broadcasts and chained reduces while still partial (§3.3).
 type reduceSpec struct {
-	ReduceID types.ObjectID // the reduce's target ObjectID doubles as its ID
+	// ReduceID names one run of a reduce, fresh per Reduce call: it keys
+	// the participants' executors and seeds the intermediates' names, so
+	// the cleanup of a run, which finishes after Reduce returns, can never
+	// reach a later run into the same target.
+	ReduceID types.ObjectID
 	Slot     int
 	Epoch    int64
 	OwnOID   types.ObjectID // the source object this slot folds in
@@ -43,12 +48,12 @@ type childRef struct {
 	OID  types.ObjectID // the child slot's current OutputOID
 }
 
-// pinToShard derives an ObjectID for (slot, epoch) that lands on the same
-// directory shard as the base (target) object.
-func pinToShard(base types.ObjectID, slot int, epoch int64, shards int) types.ObjectID {
-	want := base.Shard(shards)
+// pinToShard derives an ObjectID for (run, slot, epoch) that lands on the
+// same directory shard as the target object.
+func pinToShard(target, run types.ObjectID, slot int, epoch int64, shards int) types.ObjectID {
+	want := target.Shard(shards)
 	for nonce := int64(0); ; nonce++ {
-		oid := base.Derive("reduce-slot", int64(slot)<<20|nonce, epoch)
+		oid := run.Derive("reduce-slot", int64(slot)<<20|nonce, epoch)
 		if oid.Shard(shards) == want {
 			return oid
 		}
@@ -190,9 +195,8 @@ func (n *Node) handleReduceStart(m wire.Message) wire.Message {
 	return resp
 }
 
-// handleReduceCancel tears down every executor of a reduce, deleting
-// intermediate outputs (the root's target object is kept: it belongs to
-// the application until Delete).
+// handleReduceCancel stops every executor of a reduce. The coordinator
+// deletes the intermediate outputs cluster-wide itself (cleanupReduce).
 func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 	n.mu.Lock()
 	var victims []*reduceExec
@@ -205,18 +209,16 @@ func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 	n.mu.Unlock()
 	for _, e := range victims {
 		e.cancel()
-		if !e.spec.IsRoot {
-			n.store.Delete(e.spec.OutputOID)
-		}
 	}
 	return wire.Message{}
 }
 
-// runReduceSlot streams this slot's reduction: for each pipeline block it
-// copies its own object's block and folds in each child subtree's reduced
-// block, appending the result to the slot output as soon as the block is
-// complete — so blocks flow up the tree while later blocks are still in
-// flight (fine-grained pipelining, §3.3).
+// runReduceSlot streams this slot's reduction one wire frame (ChunkSize
+// bytes, element-aligned) at a time: it copies its own object's run, folds
+// in each child subtree's run as soon as the child's watermark passes it,
+// and appends the result to the slot output — so a hop forwards a frame
+// while the next is still in flight, and a chain of n hops costs n frame
+// times plus one object time (fine-grained pipelining, §3.3).
 func (n *Node) runReduceSlot(e *reduceExec) {
 	spec := e.spec
 	ctx := e.ctx
@@ -234,6 +236,12 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 	n.signalStoreChange()
 	fail := func(err error) {
 		out.Fail(err)
+		if ctx.Err() != nil && !spec.IsRoot {
+			// Cancelled: nobody reads this intermediate, and the
+			// coordinator's cleanup may not see it if it was never
+			// registered.
+			n.store.Delete(outOID)
+		}
 	}
 	if err := n.dir.PutStarted(ctx, outOID, spec.Size); err != nil {
 		fail(err)
@@ -248,6 +256,13 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 		fail(err)
 		return
 	}
+	// Every input is read under a pin, so a Delete racing the fold cannot
+	// recycle its array.
+	if !own.TryRef() {
+		fail(types.ErrAborted)
+		return
+	}
+	defer own.Unref()
 	// Children outputs: fetched through the ordinary receiver-driven data
 	// plane; each blocks until the child slot is assigned and starts
 	// producing. Fetches run concurrently.
@@ -263,13 +278,21 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 			childCh[i] <- childSlot{buf, err}
 		}(i, c)
 	}
-	children := make([]*buffer.Buffer, len(spec.Children))
+	children := make([]*buffer.Buffer, len(spec.Children)) // pinned once set
+	defer func() {
+		for _, b := range children {
+			if b != nil {
+				b.Unref()
+			}
+		}
+	}()
 
-	block := int64(n.cfg.PipelineBlock)
+	block := min(int64(n.cfg.ChunkSize), spec.Size)
 	if es := int64(spec.Op.DType.Size()); es > 0 {
-		block -= block % es
+		block = max(block-block%es, es)
 	}
-	scratch := make([]byte, block)
+	scratch := pool.Get(int(block))
+	defer pool.Put(scratch)
 	waitRange := func(b *buffer.Buffer, end int64) error {
 		wm, _, err := b.WaitAt(ctx, end-1)
 		if err != nil {
@@ -295,6 +318,9 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 			if children[i] == nil {
 				select {
 				case cs := <-childCh[i]:
+					if cs.err == nil && !cs.buf.TryRef() {
+						cs.err = types.ErrAborted
+					}
 					if cs.err != nil {
 						fail(cs.err)
 						return
@@ -360,20 +386,16 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 			return nil, fmt.Errorf("core: duplicate source %v", src)
 		}
 		seen[src] = true
-		rec, err := n.dir.Subscribe(ctx, src, push)
+		// A watch, not a subscription: a concurrent reduce on this node may
+		// watch the same object (a chained reduce's source is another's
+		// target), and ending ours must not end theirs.
+		rec, stop, err := n.dir.Watch(ctx, src, push)
 		if err != nil && !errors.Is(err, types.ErrDeleted) {
 			return nil, err
 		}
+		defer stop()
 		push(directory.Update{OID: src, Size: rec.Size, Locs: rec.Locs, Inline: rec.Inline})
 	}
-	defer func() {
-		uctx, cancel := context.WithTimeout(n.ctx, 5*time.Second)
-		defer cancel()
-		for _, src := range sources {
-			_ = n.dir.Unsubscribe(uctx, src)
-		}
-		_ = n.dir.Unsubscribe(uctx, target)
-	}()
 
 	// Wait for the first available source to learn the object size, which
 	// fixes the tree degree.
@@ -485,7 +507,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		// The planner supplies L and B: measured link aggregates once the
 		// cluster has traffic history, the configured priors before that.
 		lat, bw := n.plan.reduceParams()
-		d = chooseDegree(num, lat, bw, size)
+		d = chooseDegree(num, lat, bw, size, int64(n.cfg.ChunkSize))
 	}
 	if d > num {
 		d = num
@@ -494,6 +516,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	root := treeRoot(parent)
 	isLeaf := func(slot int) bool { return len(children[slot]) == 0 }
 
+	run := types.RandomObjectID()
 	epoch := make([]int64, num)
 	outOID := make([]types.ObjectID, num)
 	shards := n.dir.NumShards()
@@ -502,7 +525,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		if i == root {
 			outOID[i] = target
 		} else {
-			outOID[i] = pinToShard(target, i, epoch[i], shards)
+			outOID[i] = pinToShard(target, run, i, epoch[i], shards)
 		}
 	}
 	assigned := make([]*assignment, num)
@@ -511,8 +534,9 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	// freeSlots returns the unfilled slots, lowest first: by default slots
 	// fill in arrival order (in-order traversal positions) and after a
 	// failure the vacated slot is refilled by the next ready source
-	// ("replaced by the next ready source object", §3.5.2); the planner may
-	// steer a slow host to a leaf slot instead.
+	// ("replaced by the next ready source object", §3.5.2); the planner
+	// roots the tree at this node when it holds a ready source and may
+	// steer a slow host to a leaf slot.
 	freeSlots := func() []int {
 		var free []int
 		for i, a := range assigned {
@@ -524,7 +548,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	}
 
 	targetDone := make(chan struct{}, 1)
-	trec, err := n.dir.Subscribe(ctx, target, func(u directory.Update) {
+	trec, stop, err := n.dir.Watch(ctx, target, func(u directory.Update) {
 		for _, l := range u.Locs {
 			if l.Progress.HasAll() {
 				select {
@@ -537,6 +561,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	if err != nil && !errors.Is(err, types.ErrDeleted) {
 		return nil, err
 	}
+	defer stop()
 	for _, l := range trec.Locs {
 		if l.Progress.HasAll() {
 			targetDone <- struct{}{}
@@ -564,7 +589,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 			refs = append(refs, childRef{Slot: c, OID: outOID[c]})
 		}
 		return &reduceSpec{
-			ReduceID:  target,
+			ReduceID:  run,
 			Slot:      slot,
 			Epoch:     epoch[slot],
 			OwnOID:    assigned[slot].src,
@@ -603,8 +628,9 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	}
 
 	// tryAssign fills open slots with ready sources in arrival order; the
-	// planner picks which open slot each source gets (lowest free slot by
-	// default, a leaf for a measured-slow host).
+	// planner picks which open slot each source gets (the root for this
+	// node's own source, else the lowest free slot, a leaf for a
+	// measured-slow host).
 	tryAssign := func() {
 		for {
 			free := freeSlots()
@@ -630,7 +656,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 			if !found {
 				return
 			}
-			slot := n.plan.chooseSlot(free, isLeaf, host)
+			slot := n.plan.chooseSlot(free, root, isLeaf, host)
 			assigned[slot] = &assignment{src: src, host: host}
 			assignedSrc[src] = slot
 			sendSpec(slot)
@@ -694,7 +720,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 			if s == root {
 				outOID[s] = target
 			} else {
-				outOID[s] = pinToShard(target, s, epoch[s], shards)
+				outOID[s] = pinToShard(target, run, s, epoch[s], shards)
 			}
 		}
 		for s := range restart {
@@ -747,31 +773,51 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 					used = append(used, a.src)
 				}
 			}
-			n.cleanupReduce(target, assigned)
+			n.cleanupReduce(run, assigned, outOID, root)
 			return used, nil
 		case <-ctx.Done():
-			n.cleanupReduce(target, assigned)
+			n.cleanupReduce(run, assigned, outOID, root)
 			return nil, ctx.Err()
 		}
 	}
 }
 
-// cleanupReduce tells every participant to tear down its executors and
-// drop intermediate outputs.
-func (n *Node) cleanupReduce(target types.ObjectID, assigned []*assignment) {
+// cleanupReduce tears a finished or cancelled reduce down off the caller's
+// path: every participant stops its executors, then every non-root slot
+// output is deleted cluster-wide, which drops both the producer's copy and
+// the parent's pulled copy (failHost does the same for a restarted
+// subtree). The root's output is the target, which belongs to the
+// application until Delete.
+func (n *Node) cleanupReduce(run types.ObjectID, assigned []*assignment, outOID []types.ObjectID, root int) {
 	hosts := make(map[types.NodeID]bool)
-	for _, a := range assigned {
+	var intermediates []types.ObjectID
+	for s, a := range assigned {
 		if a != nil {
 			hosts[a.host] = true
+			if s != root {
+				intermediates = append(intermediates, outOID[s])
+			}
 		}
 	}
-	ctx, cancel := context.WithTimeout(n.ctx, 5*time.Second)
-	defer cancel()
-	for host := range hosts {
-		c, err := n.peerCtrl(ctx, string(host))
-		if err != nil {
-			continue
-		}
-		_, _ = c.Call(ctx, wire.Message{Method: wire.MethodReduceCancel, Target: target})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
 	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		ctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		defer cancel()
+		for host := range hosts {
+			c, err := n.peerCtrl(ctx, string(host))
+			if err != nil {
+				continue
+			}
+			_, _ = c.Call(ctx, wire.Message{Method: wire.MethodReduceCancel, Target: run})
+		}
+		for _, oid := range intermediates {
+			_ = n.Delete(ctx, oid)
+		}
+	}()
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // treeShape builds the fixed d-ary reduce tree over n slots, where slot i
 // is the i-th node visited by a generalized in-order traversal (first
@@ -103,39 +100,47 @@ func treeHeight(parent []int) int {
 	return maxDepth
 }
 
-// estimateReduceTime evaluates the paper's reduce cost model (Equation 1):
+// estimateReduceTime evaluates the paper's reduce cost model (Equation 1)
+// for a fold pipelined in frames of chunk bytes: a hop forwards a frame
+// only once it has received (from each of its d children) and folded it,
+// so every level adds its latency plus the fill of one frame per child:
 //
-//	T(1) = n·L + S/B          (chain; latency per hop, pipelined payload)
-//	T(d) = L·⌈log_d n⌉ + d·S/B (d-ary tree)
+//	T(1) = n·(L + c/B) + S/B                 (chain)
+//	T(d) = ⌈log_d n⌉·(L + d·c/B) + d·S/B     (d-ary tree, d = n a star)
 //
-// with d = n giving L + n·S/B.
-func estimateReduceTime(d, n int, latency time.Duration, bandwidth float64, size int64) time.Duration {
+// with c = min(chunk, S).
+func estimateReduceTime(d, n int, latency time.Duration, bandwidth float64, size, chunk int64) time.Duration {
 	l := latency.Seconds()
 	sb := float64(size) / bandwidth
+	cb := float64(min(chunk, size)) / bandwidth
 	var t float64
 	switch {
 	case n <= 1:
 		t = l + sb
 	case d <= 1:
-		t = float64(n)*l + sb
-	case d >= n:
-		t = l + float64(n)*sb
+		t = float64(n)*(l+cb) + sb
 	default:
-		t = l*math.Ceil(math.Log(float64(n))/math.Log(float64(d))) + float64(d)*sb
+		d = min(d, n)
+		levels := 0 // ⌈log_d n⌉
+		for span := 1; span < n; span *= d {
+			levels++
+		}
+		t = float64(levels)*(l+float64(d)*cb) + float64(d)*sb
 	}
 	return time.Duration(t * float64(time.Second))
 }
 
 // chooseDegree picks the reduce tree degree among {1, 2, n} minimizing the
 // estimated completion time, as the implementation does at runtime (§4:
-// "setting d to 1, 2, or n ... is enough for our applications").
-func chooseDegree(n int, latency time.Duration, bandwidth float64, size int64) int {
+// "setting d to 1, 2, or n ... is enough for our applications"). chunk is
+// the fold's frame size, the data plane's ChunkSize.
+func chooseDegree(n int, latency time.Duration, bandwidth float64, size, chunk int64) int {
 	if n <= 2 {
 		return n
 	}
-	best, bestT := 1, estimateReduceTime(1, n, latency, bandwidth, size)
+	best, bestT := 1, estimateReduceTime(1, n, latency, bandwidth, size, chunk)
 	for _, d := range []int{2, n} {
-		if t := estimateReduceTime(d, n, latency, bandwidth, size); t < bestT {
+		if t := estimateReduceTime(d, n, latency, bandwidth, size, chunk); t < bestT {
 			best, bestT = d, t
 		}
 	}

@@ -172,39 +172,59 @@ func TestTreeHeightLogarithmic(t *testing.T) {
 	}
 }
 
+// The cost model charges every level of the tree its latency plus the fill
+// of one frame per child: T(1) = n·(L + c/B) + S/B and
+// T(d) = ⌈log_d n⌉·(L + d·c/B) + d·S/B, with c = min(chunk, S).
 func TestEstimateReduceTimeModel(t *testing.T) {
-	L := time.Millisecond
-	B := 1e9
-	near := func(got, want time.Duration) bool {
-		diff := got - want
-		if diff < 0 {
-			diff = -diff
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name        string
+		d, n        int
+		lat         time.Duration
+		bw          float64
+		size, chunk int64
+		want        time.Duration
+	}{
+		// 10·(1 ms + 1 ms) + 1 s
+		{"chain", 1, 10, ms, 1e9, 1e9, 1e6, 1020 * ms},
+		// 1·(1 ms + 10·1 ms) + 10·100 ms
+		{"star", 10, 10, ms, 1e9, 1e8, 1e6, 1011 * ms},
+		// 3·(1 ms + 2·1 ms) + 2·100 ms
+		{"binary", 2, 8, ms, 1e9, 1e8, 1e6, 209 * ms},
+		// ⌈log2 9⌉ = 4 levels
+		{"binary, partial level", 2, 9, ms, 1e9, 1e8, 1e6, 212 * ms},
+		// an object smaller than a frame fills its hops with itself:
+		// 4·(1 ms + 0.1 ms) + 0.1 ms
+		{"chain, object below a frame", 1, 4, ms, 1e9, 1e5, 1e6, 4500 * time.Microsecond},
+		{"one source", 1, 1, ms, 1e9, 1e8, 1e6, 101 * ms},
+		// collective_netem: 8 hops of 200 µs + 3.9 ms, plus 62.5 ms
+		{"collective_netem chain", 1, 8, 200 * time.Microsecond, 64 << 20, 4 << 20, 256 << 10, 95350 * time.Microsecond},
+	} {
+		got := estimateReduceTime(tc.d, tc.n, tc.lat, tc.bw, tc.size, tc.chunk)
+		if diff := got - tc.want; diff < -time.Microsecond || diff > time.Microsecond {
+			t.Errorf("%s: estimate %v, want %v", tc.name, got, tc.want)
 		}
-		return diff < time.Millisecond/10
 	}
-	// Chain: n·L + S/B.
-	if got := estimateReduceTime(1, 10, L, B, 1e9); !near(got, 10*L+time.Second) {
-		t.Fatalf("chain estimate %v", got)
-	}
-	// Star: L + n·S/B.
-	if got := estimateReduceTime(10, 10, L, B, 1e8); !near(got, L+time.Second) {
-		t.Fatalf("star estimate %v", got)
+	// collective_netem's 8-way reduce of 4 MiB stays a chain.
+	if d := chooseDegree(8, 200*time.Microsecond, 64<<20, 4<<20, 256<<10); d != 1 {
+		t.Errorf("collective_netem degree %d, want the chain", d)
 	}
 }
 
 func TestChooseDegreeRegimes(t *testing.T) {
 	L := 200 * time.Microsecond
 	B := 1.25e9
+	const c = DefaultChunkSize
 	// Tiny objects: latency dominates → star (d = n), Appendix B.
-	if d := chooseDegree(16, L, B, 4<<10); d != 16 {
+	if d := chooseDegree(16, L, B, 4<<10, c); d != 16 {
 		t.Fatalf("4KB: d=%d, want n", d)
 	}
 	// Huge objects: bandwidth dominates → chain (d = 1).
-	if d := chooseDegree(16, L, B, 1<<30); d != 1 {
+	if d := chooseDegree(16, L, B, 1<<30, c); d != 1 {
 		t.Fatalf("1GB: d=%d, want 1", d)
 	}
 	// n <= 2 degenerates.
-	if chooseDegree(1, L, B, 1) != 1 || chooseDegree(2, L, B, 1) != 2 {
+	if chooseDegree(1, L, B, 1, c) != 1 || chooseDegree(2, L, B, 1, c) != 2 {
 		t.Fatal("degenerate degree wrong")
 	}
 }
@@ -216,10 +236,11 @@ func TestChooseDegreeIsArgmin(t *testing.T) {
 		size := int64(sizeRaw)%(64<<20) + 1
 		L := 200 * time.Microsecond
 		B := 1.25e9
-		best := chooseDegree(n, L, B, size)
-		bestT := estimateReduceTime(best, n, L, B, size)
+		const c = DefaultChunkSize
+		best := chooseDegree(n, L, B, size, c)
+		bestT := estimateReduceTime(best, n, L, B, size, c)
 		for _, d := range []int{1, 2, n} {
-			if estimateReduceTime(d, n, L, B, size) < bestT {
+			if estimateReduceTime(d, n, L, B, size, c) < bestT {
 				return false
 			}
 		}
@@ -232,15 +253,20 @@ func TestChooseDegreeIsArgmin(t *testing.T) {
 
 func TestPinToShard(t *testing.T) {
 	base := treeTestOID()
+	runs := []types.ObjectID{types.ObjectIDFromString("run-a"), types.ObjectIDFromString("run-b")}
 	for shards := 1; shards <= 9; shards++ {
 		want := base.Shard(shards)
 		for slot := 0; slot < 5; slot++ {
-			oid := pinToShard(base, slot, 1, shards)
+			oid := pinToShard(base, runs[0], slot, 1, shards)
 			if oid.Shard(shards) != want {
 				t.Fatalf("shards=%d slot=%d: pinned to %d, want %d", shards, slot, oid.Shard(shards), want)
 			}
 			if oid == base {
 				t.Fatal("pinned oid equals base")
+			}
+			// Two runs into one target never share an intermediate.
+			if pinToShard(base, runs[1], slot, 1, shards) == oid {
+				t.Fatalf("shards=%d slot=%d: two runs share an intermediate", shards, slot)
 			}
 		}
 	}

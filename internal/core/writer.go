@@ -9,6 +9,11 @@ import (
 	"hoplite/internal/types"
 )
 
+// writeBlock is the largest run a Write appends at once: each append wakes
+// the readers streaming the object, so a large Write still feeds them
+// block by block (§5.1.1 reports a 4 MB pipelining block).
+const writeBlock = 4 << 20
+
 // ObjectWriter is the streaming producer handle returned by Node.Create:
 // an io.Writer over a store buffer whose partial location is already
 // registered in the directory, so downstream receivers, broadcast relays
@@ -85,9 +90,8 @@ func (w *ObjectWriter) Write(p []byte) (int, error) {
 		w.teardown(fmt.Errorf("core: write past declared size %d of %v", w.size, w.oid))
 		return 0, w.err
 	}
-	block := w.n.cfg.PipelineBlock
-	for off := 0; off < len(p); off += block {
-		end := off + block
+	for off := 0; off < len(p); off += writeBlock {
+		end := off + writeBlock
 		if end > len(p) {
 			end = len(p)
 		}

@@ -478,8 +478,10 @@ func (s *Store) Unpin(oid types.ObjectID) bool {
 	return true
 }
 
-// Delete removes an object regardless of pinning, failing its buffer so
-// any in-flight readers abort. It reports whether the object was present.
+// Delete removes an object regardless of pinning, retiring its buffer: an
+// incomplete buffer fails so in-flight readers abort, and the payload
+// array is recycled once the last reader pin drops. It reports whether the
+// object was present.
 func (s *Store) Delete(oid types.ObjectID) bool {
 	s.mu.Lock()
 	o, ok := s.objects[oid]
@@ -492,7 +494,7 @@ func (s *Store) Delete(oid types.ObjectID) bool {
 	s.used -= o.buf.Size()
 	s.signalSpaceLocked()
 	s.mu.Unlock()
-	o.buf.Fail(types.ErrDeleted)
+	o.buf.Retire()
 	return true
 }
 
