@@ -379,8 +379,7 @@ func BenchmarkStripedGet(b *testing.B) {
 					Latency:     200 * time.Microsecond,
 					BytesPerSec: 32 << 20,
 				},
-				StripeThreshold: 1 << 20,
-				MaxSources:      srcs,
+				Node: hoplite.Config{StripeThreshold: 1 << 20, MaxSources: srcs},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -608,7 +607,7 @@ func BenchmarkSmallObjectQPS(b *testing.B) {
 		}
 	}
 	b.Run("baseline", func(b *testing.B) {
-		run(b, hoplite.Options{InlineThreshold: -1, LocationCacheSize: -1})
+		run(b, hoplite.Options{Node: hoplite.Config{InlineThreshold: -1, LocationCacheSize: -1}})
 	})
 	b.Run("fastpath", func(b *testing.B) {
 		run(b, hoplite.Options{})

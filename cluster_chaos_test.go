@@ -105,7 +105,7 @@ func runMembershipChaos(t *testing.T, seed int64) {
 		ShardNodes:        shards,
 		ReplicationFactor: 2,
 		ObjectReplication: 2,
-		RepairInterval:    50 * time.Millisecond,
+		Node:              Config{RepairInterval: 50 * time.Millisecond},
 	})
 	s := &chaosState{
 		t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), c: c,

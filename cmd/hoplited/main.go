@@ -55,13 +55,9 @@ func main() {
 	repairEvery := flag.Duration("repair-interval", 0, "re-replication scanner period (0 = default 250ms, negative disables)")
 	memLimit := flag.Int64("memory-limit", 0, "in-memory store budget in bytes with admission backpressure (0 = unlimited)")
 	spillDir := flag.String("spill-dir", "", "directory for the disk spill tier (empty = spill disabled; requires -memory-limit); rescanned on restart")
-	spillHigh := flag.Float64("spill-high", 0, "demotion high watermark as a fraction of -memory-limit (default 0.90)")
-	spillLow := flag.Float64("spill-low", 0, "demotion low watermark as a fraction of -memory-limit (default 0.70)")
 	inline := flag.Int64("inline-threshold", 0, "small-object inline threshold in bytes (default 64 KiB, negative disables)")
 	locCache := flag.Int("loc-cache", 0, "location cache entries per node (0 = default 4096, negative disables)")
 	schedClasses := flag.Int("sched-classes", 0, "egress scheduler classes: 2 (default) isolates latency-sensitive small pulls from bulk transfers, 1 disables scheduling")
-	bulkCutoff := flag.Int64("bulk-cutoff", 0, "pull span in bytes at or above which a pull is classed as bulk by the egress scheduler (0 = default 1 MiB)")
-	linkHalfLife := flag.Duration("link-half-life", 0, "decay half-life for measured link estimates on quiet links (0 = default 10s)")
 	locality := flag.String("locality", "", "locality domain label for this node (e.g. a rack or DC name); unmeasured links borrow their domain's mean estimate")
 	flag.Parse()
 
@@ -107,13 +103,9 @@ func main() {
 		RepairInterval:    *repairEvery,
 		MemoryLimit:       *memLimit,
 		SpillDir:          *spillDir,
-		SpillHighWater:    *spillHigh,
-		SpillLowWater:     *spillLow,
 		InlineThreshold:   *inline,
 		LocationCacheSize: *locCache,
 		SchedClasses:      *schedClasses,
-		BulkCutoff:        *bulkCutoff,
-		LinkHalfLife:      *linkHalfLife,
 		Locality:          *locality,
 	})
 	if err != nil {

@@ -89,7 +89,7 @@ func TestBroadcastSenderFailure(t *testing.T) {
 // lowest contiguous offset.
 func TestStripedGetSenderFailure(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 4, Options{Emulate: slowEmu(), StripeThreshold: 1 << 20, MaxSources: 3})
+	c := startCluster(t, 4, Options{Emulate: slowEmu(), Node: Config{StripeThreshold: 1 << 20, MaxSources: 3}})
 	data := payload(16<<20, 13)
 	oid := oidOnShard(t, "stripefail", c.Size(), 0)
 	if err := c.Node(0).Put(ctx, oid, data); err != nil {

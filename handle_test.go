@@ -316,6 +316,40 @@ func TestGetRefAsyncResolvesEventDriven(t *testing.T) {
 	}
 }
 
+// TestGetRefAsyncWaitsOutDeletion: an async Get of a deleted object rides
+// through the deletion like GetRef does — parked on one directory watch,
+// not re-acquiring on a timer — and resolves with the re-created bytes.
+func TestGetRefAsyncWaitsOutDeletion(t *testing.T) {
+	ctx := testCtx(t)
+	c := startCluster(t, 2, Options{})
+	oid := ObjectIDFromString("async-recreated")
+	if err := c.Node(0).Put(ctx, oid, payload(1<<20, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Node(0).Delete(ctx, oid); err != nil {
+		t.Fatal(err)
+	}
+	dir := c.Node(1).Directory()
+	before := dir.Stats().Calls
+	fut := c.Node(1).GetRefAsync(ctx, oid)
+	time.Sleep(400 * time.Millisecond)
+	if calls := dir.Stats().Calls - before; calls > 6 {
+		t.Errorf("%d directory calls while the object was deleted, want <= 6", calls)
+	}
+	want := payload(1<<20, 2)
+	if err := c.Node(0).Put(ctx, oid, want); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := fut.Await(ctx)
+	if err != nil {
+		t.Fatalf("Await: %v", err)
+	}
+	defer ref.Release()
+	if !bytes.Equal(ref.Bytes(), want) {
+		t.Fatal("future resolved with the wrong bytes")
+	}
+}
+
 // TestGetAllBatched fetches a mixed batch (inline small objects and
 // stored large ones) concurrently, preserving input order.
 func TestGetAllBatched(t *testing.T) {

@@ -27,7 +27,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"time"
+	"reflect"
 
 	"hoplite/internal/core"
 	"hoplite/internal/netem"
@@ -110,48 +110,14 @@ func FetchClusterMap(ctx context.Context, fab netem.Fabric, seeds []string) (Clu
 	return core.FetchClusterMap(ctx, fab, seeds)
 }
 
-// Options configures a local cluster.
+// Options configures a local cluster: the fields a cluster owns, plus the
+// per-node config every node starts from.
 type Options struct {
 	// Emulate, if non-nil, shapes every node's links (one-way latency and
 	// full-duplex per-node bandwidth) to stand in for the paper's
-	// testbed. Nil runs plain loopback TCP.
+	// testbed. Nil runs plain loopback TCP. The emulated link also
+	// supplies each node's Latency/Bandwidth priors unless Node sets them.
 	Emulate *netem.LinkConfig
-	// InlineThreshold overrides the inline fast-path threshold (bytes):
-	// objects below it ride inline in directory replies, making a cold
-	// Get of one exactly one RPC. 0 = default (64 KB), negative disables.
-	InlineThreshold int64
-	// LocationCacheSize bounds each node's cache of directory lookup
-	// results, which lets repeat Gets of remote objects skip the
-	// directory entirely. 0 = default (4096 entries), negative disables.
-	LocationCacheSize int
-	// MemoryLimit bounds each node's in-memory store and enables
-	// admission backpressure: Put/Create block (ctx-governed) instead of
-	// overshooting when the limit is hit and nothing cold can be demoted
-	// or evicted. Combine with SpillDir for out-of-core workloads whose
-	// aggregate object bytes exceed cluster RAM. 0 = unbounded.
-	MemoryLimit int64
-	// SpillDir enables the disk spill tier: each node demotes cold sealed
-	// objects to chunk-aligned files under SpillDir/<node-name> instead
-	// of dropping them, serves them to peers straight off disk, and
-	// restores them transparently on a local Get. Empty disables spill.
-	SpillDir string
-	// SpillHighWater/SpillLowWater bound the demotion hysteresis as
-	// fractions of MemoryLimit (defaults 0.90/0.70).
-	SpillHighWater, SpillLowWater float64
-	// StripeThreshold is the minimum object size for which a Get stripes
-	// ranged pulls across multiple complete copies (0 = default, negative
-	// disables striping).
-	StripeThreshold int64
-	// MaxSources caps the number of senders a striped Get pulls from
-	// concurrently (0 = default, 1 disables striping).
-	MaxSources int
-	// ChunkSize is the data-plane wire chunk in bytes (0 = default
-	// 256 KiB). Smaller chunks tighten the egress scheduler's per-turn
-	// granularity — a latency-class pull waits behind at most one bulk
-	// chunk — at the cost of more frame and scheduling overhead.
-	ChunkSize int
-	// ReduceDegree forces the reduce tree degree (0 = automatic).
-	ReduceDegree int
 	// ShardNodes limits directory shards to the first k nodes (0 = every
 	// node hosts one). Keeping shards on "head" nodes bounds how much
 	// directory state rides on any one worker — the paper leaves
@@ -172,31 +138,39 @@ type Options struct {
 	// evacuation off draining nodes). It never triggers on mere
 	// disconnection — failure detection stays with the framework (§5.5).
 	ObjectReplication int
-	// RepairInterval is the repair scanner period (0 = directory default
-	// of 250ms, negative disables).
-	RepairInterval time.Duration
-	// Latency/Bandwidth are cold-start priors for the per-peer link-state
-	// estimators (and through them degree selection and striping): each
-	// node seeds every peer's RTT/bandwidth estimate from them and decays
-	// measurements back toward them when a link goes quiet. When Emulate
-	// is set they default to its values.
-	Latency   time.Duration
-	Bandwidth float64
-	// LinkHalfLife is the decay half-life for measured link estimates on
-	// quiet links (0 = default 10s).
-	LinkHalfLife time.Duration
-	// SchedClasses configures each node's egress scheduler: 2 (default)
-	// separates latency-sensitive small pulls from bulk transfers under
-	// byte-deficit weighted-fair sharing; 1 disables scheduling.
-	SchedClasses int
-	// BulkCutoff is the pull span in bytes at or above which a pull is
-	// classed as bulk by the egress scheduler (0 = default 1 MiB).
-	BulkCutoff int64
 	// Localities optionally labels nodes with locality domains (rack or
 	// datacenter): node i gets Localities[i], missing entries mean no
 	// label. Peers without measurements inherit their domain's mean link
 	// estimate instead of the global prior.
 	Localities []string
+	// MemoryLimit bounds each node's in-memory store; see
+	// core.Config.MemoryLimit. 0 = unbounded.
+	MemoryLimit int64
+	// SpillDir enables the disk spill tier under a root directory: each
+	// node spills to its own SpillDir/<node-name>, so in-process nodes never
+	// share an on-disk namespace and a restarted node finds exactly the
+	// objects it spilled. Empty disables spill.
+	SpillDir string
+	// Node is the core.Config every node starts from (every zero field
+	// selects its default). The cluster sets the fields it owns per node —
+	// see clusterOwned — and StartLocalCluster rejects a Node that sets
+	// any of them.
+	Node Config
+}
+
+// clusterOwned lists the core.Config fields the cluster sets for each node
+// itself; Options.Node must leave them zero.
+var clusterOwned = []string{"Fabric", "Name", "Listener", "InitialMap", "JoinAddrs", "JoinStorageOnly", "Locality", "MemoryLimit", "SpillDir"}
+
+// checkNode rejects a Node config that sets a field the cluster owns.
+func (o Options) checkNode() error {
+	v := reflect.ValueOf(o.Node)
+	for _, name := range clusterOwned {
+		if !v.FieldByName(name).IsZero() {
+			return fmt.Errorf("hoplite: Options.Node.%s is set per node by the cluster; leave it zero", name)
+		}
+	}
+	return nil
 }
 
 // localityFor returns the configured locality label for node i ("" when
@@ -208,40 +182,29 @@ func (o Options) localityFor(i int) string {
 	return o.Localities[i]
 }
 
-// coreConfig translates the cluster options into one node's core.Config.
-// Every node construction — initial boot and restart — goes through this
-// single helper so a new knob cannot be silently dropped from one path.
+// coreConfig derives one node's core.Config from Options.Node. Every node
+// construction — initial boot, join and restart — goes through this single
+// helper.
 func (o Options) coreConfig(fab netem.Fabric, name string, ln net.Listener, initialMap *types.ClusterMap, locality string) core.Config {
-	spillDir := ""
+	cfg := o.Node
+	cfg.Fabric = fab
+	cfg.Name = name
+	cfg.Listener = ln
+	cfg.InitialMap = initialMap
+	cfg.Locality = locality
+	cfg.MemoryLimit = o.MemoryLimit
 	if o.SpillDir != "" {
-		// One subdirectory per node: in-process cluster nodes must not
-		// share an on-disk namespace, and a restarted node (same name)
-		// finds exactly the objects it spilled.
-		spillDir = filepath.Join(o.SpillDir, name)
+		cfg.SpillDir = filepath.Join(o.SpillDir, name)
 	}
-	return core.Config{
-		Fabric:            fab,
-		Name:              name,
-		Listener:          ln,
-		InitialMap:        initialMap,
-		RepairInterval:    o.RepairInterval,
-		InlineThreshold:   o.InlineThreshold,
-		LocationCacheSize: o.LocationCacheSize,
-		MemoryLimit:       o.MemoryLimit,
-		SpillDir:          spillDir,
-		SpillHighWater:    o.SpillHighWater,
-		SpillLowWater:     o.SpillLowWater,
-		StripeThreshold:   o.StripeThreshold,
-		MaxSources:        o.MaxSources,
-		ChunkSize:         o.ChunkSize,
-		Latency:           o.Latency,
-		Bandwidth:         o.Bandwidth,
-		LinkHalfLife:      o.LinkHalfLife,
-		SchedClasses:      o.SchedClasses,
-		BulkCutoff:        o.BulkCutoff,
-		Locality:          locality,
-		ReduceDegree:      o.ReduceDegree,
+	if o.Emulate != nil {
+		if cfg.Latency == 0 {
+			cfg.Latency = o.Emulate.Latency
+		}
+		if cfg.Bandwidth == 0 {
+			cfg.Bandwidth = o.Emulate.BytesPerSec
+		}
 	}
+	return cfg
 }
 
 // Cluster is a set of in-process Hoplite nodes sharing a fabric and a
@@ -262,17 +225,14 @@ func StartLocalCluster(n int, opts Options) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("hoplite: cluster size %d", n)
 	}
+	if err := opts.checkNode(); err != nil {
+		return nil, err
+	}
 	var fab netem.Fabric
 	var em *netem.Emulated
 	if opts.Emulate != nil {
 		em = netem.NewEmulated(*opts.Emulate)
 		fab = em
-		if opts.Latency == 0 {
-			opts.Latency = opts.Emulate.Latency
-		}
-		if opts.Bandwidth == 0 {
-			opts.Bandwidth = opts.Emulate.BytesPerSec
-		}
 	} else {
 		fab = &netem.TCP{}
 	}

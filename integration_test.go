@@ -104,7 +104,7 @@ func TestReduceArrivalOrderProperty(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			t.Run(fmt.Sprintf("d=%d/trial=%d", degree, trial), func(t *testing.T) {
 				ctx := testCtx(t)
-				c := startCluster(t, 5, Options{ReduceDegree: degree})
+				c := startCluster(t, 5, Options{Node: Config{ReduceDegree: degree}})
 				sources := make([]ObjectID, 5)
 				perm := rng.Perm(5)
 				var want float32

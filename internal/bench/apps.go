@@ -33,7 +33,7 @@ type psConfig struct {
 // factor).
 func runPS(sc Scale, cfg psConfig) (float64, error) {
 	link := sc.Link()
-	c, err := hoplite.StartLocalCluster(cfg.n, hoplite.Options{Emulate: &link, InlineThreshold: sc.SmallObject()})
+	c, err := hoplite.StartLocalCluster(cfg.n, hoplite.Options{Emulate: &link, Node: hoplite.Config{InlineThreshold: sc.SmallObject()}})
 	if err != nil {
 		return 0, err
 	}
@@ -366,7 +366,7 @@ func Figure11(sc Scale, nodeCounts []int, queries int) ([]*Table, error) {
 	for _, n := range nodeCounts {
 		link := sc.Link()
 		run := func(hopliteMode bool) (float64, error) {
-			c, err := hoplite.StartLocalCluster(n, hoplite.Options{Emulate: &link, InlineThreshold: sc.SmallObject()})
+			c, err := hoplite.StartLocalCluster(n, hoplite.Options{Emulate: &link, Node: hoplite.Config{InlineThreshold: sc.SmallObject()}})
 			if err != nil {
 				return 0, err
 			}
@@ -400,7 +400,7 @@ func Figure12(sc Scale, queries int) ([]*Table, error) {
 	victim := n - 1
 	run := func(hopliteMode bool) ([]time.Duration, error) {
 		c, err := hoplite.StartLocalCluster(n, hoplite.Options{
-			Emulate: &link, InlineThreshold: sc.SmallObject(), ShardNodes: 1,
+			Emulate: &link, ShardNodes: 1, Node: hoplite.Config{InlineThreshold: sc.SmallObject()},
 		})
 		if err != nil {
 			return nil, err

@@ -25,9 +25,8 @@ type HopliteEnv struct {
 func NewHopliteEnv(sc Scale, n, degree int) (*HopliteEnv, error) {
 	link := sc.Link()
 	c, err := hoplite.StartLocalCluster(n, hoplite.Options{
-		Emulate:         &link,
-		InlineThreshold: sc.SmallObject(),
-		ReduceDegree:    degree,
+		Emulate: &link,
+		Node:    hoplite.Config{InlineThreshold: sc.SmallObject(), ReduceDegree: degree},
 	})
 	if err != nil {
 		return nil, err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hoplite/internal/netem"
+	"hoplite/internal/transport"
 	"hoplite/internal/types"
 )
 
@@ -23,9 +24,6 @@ const (
 	// DefaultLocationCacheSize bounds the per-node cache of directory
 	// lookup results (see loccache.go).
 	DefaultLocationCacheSize = 4096
-	// DefaultChunkSize is the data-plane wire chunk, which is also the run
-	// a reduce slot folds and forwards at a time.
-	DefaultChunkSize = 256 << 10
 	// DefaultStripeThreshold is the minimum object size for which a Get
 	// stripes ranged pulls across multiple complete copies. Below it a
 	// single pipelined pull saturates the path; above it the aggregate
@@ -87,7 +85,8 @@ type Config struct {
 	// DefaultLocationCacheSize; negative disables the cache.
 	LocationCacheSize int
 	// ChunkSize is the data-plane wire chunk size, and the run a reduce
-	// slot folds and forwards at a time.
+	// slot folds and forwards at a time. Defaults to
+	// transport.DefaultChunkSize (256 KiB).
 	ChunkSize int
 
 	// MemoryLimit bounds the in-memory store in bytes and enables
@@ -105,11 +104,6 @@ type Config struct {
 	// memory on a local Get. The directory is rescanned at startup, so a
 	// restarted node re-offers the objects it spilled in a previous life.
 	SpillDir string
-	// SpillHighWater and SpillLowWater are fractions of the memory budget
-	// bounding the demotion hysteresis: an allocation that would push
-	// usage past High demotes cold objects until usage falls below Low.
-	// Zero selects the store defaults (0.90 / 0.70).
-	SpillHighWater, SpillLowWater float64
 
 	// StripeThreshold is the minimum object size for a striped Get that
 	// pulls disjoint ranges from several complete copies concurrently.
@@ -124,16 +118,10 @@ type Config struct {
 	// striped-Get planning. Before any traffic has been measured the
 	// planner uses them directly; once the link-state tracker has samples
 	// for a peer, the measured estimate takes over (decaying back toward
-	// these priors when a link goes quiet). They default to 200µs and
-	// 1.25 GB/s (the paper's 10 Gbps testbed).
+	// these priors when a link goes quiet). Zero selects the linkstate
+	// defaults, 200µs and 1.25 GB/s (the paper's 10 Gbps testbed).
 	Latency   time.Duration
 	Bandwidth float64
-
-	// LinkHalfLife is the quiet-link decay half-life of the link-state
-	// estimator: after a link has been idle, its measured estimate decays
-	// toward the Latency/Bandwidth priors with this half-life. Zero
-	// selects the linkstate default (10s); negative disables decay.
-	LinkHalfLife time.Duration
 
 	// Locality is this node's optional rack/DC label. It is announced on
 	// join, carried on the cluster map, and used by the link-state tracker
@@ -144,9 +132,6 @@ type Config struct {
 	// enables the weighted-fair latency/bulk scheduler so a saturating
 	// striped Get cannot starve a small Get; 1 disables scheduling.
 	SchedClasses int
-	// BulkCutoff is the full-pull size at or above which a pull is
-	// scheduled as bulk; 0 selects transport.DefaultBulkCutoff (1 MB).
-	BulkCutoff int64
 
 	// ReduceDegree forces the reduce tree degree: 0 = choose
 	// automatically among {1, 2, n}; otherwise the given d is used
@@ -169,7 +154,7 @@ func (c *Config) withDefaults() Config {
 		cfg.LocationCacheSize = 0
 	}
 	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunkSize
+		cfg.ChunkSize = transport.DefaultChunkSize
 	}
 	if cfg.StripeThreshold == 0 {
 		cfg.StripeThreshold = DefaultStripeThreshold
@@ -179,12 +164,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.MaxSources < 1 {
 		cfg.MaxSources = 1
-	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = 200 * time.Microsecond
-	}
-	if cfg.Bandwidth <= 0 {
-		cfg.Bandwidth = 1.25e9
 	}
 	if cfg.SchedClasses == 0 {
 		cfg.SchedClasses = 2

@@ -171,10 +171,11 @@ func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*O
 	}()
 }
 
-// asyncRetry is retryTransient for the watcher-driven path: transient
-// deletion errors re-drive the get after the same 50 ms pause (via a
-// timer, not a parked goroutine); anything else, or the grace window
-// expiring, resolves the future with the error.
+// asyncRetry is retryTransient for the watcher-driven path: a transient
+// deletion error waits for the object's re-creation on the same directory
+// watch GetRef uses, bounded by the grace deadline, then re-drives the get;
+// anything else, or the grace window expiring, resolves the future with
+// the error.
 func (n *Node) asyncRetry(ctx context.Context, oid types.ObjectID, f *Future[*ObjectRef], deadline time.Time, err error) {
 	if f.isResolved() {
 		return
@@ -184,11 +185,14 @@ func (n *Node) asyncRetry(ctx context.Context, oid types.ObjectID, f *Future[*Ob
 		f.complete(nil, err)
 		return
 	}
-	time.AfterFunc(50*time.Millisecond, func() {
+	go func() {
+		wctx, cancel := context.WithDeadline(ctx, deadline)
+		n.awaitRecreation(oid)(wctx)
+		cancel()
 		if !f.isResolved() {
 			n.driveGetRef(ctx, oid, f, deadline)
 		}
-	})
+	}()
 }
 
 // GetAsync is the future form of Get: it resolves to a private copy of

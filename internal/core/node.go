@@ -123,12 +123,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if c.LocationCacheSize > 0 {
 		n.locs = newLocCache(c.LocationCacheSize)
 	}
-	n.links = linkstate.New(linkstate.Config{
-		PriorRTT:       c.Latency,
-		PriorBandwidth: c.Bandwidth,
-		HalfLife:       c.LinkHalfLife,
-	})
-	n.plan = linkPlanner{links: n.links, latency: c.Latency, bandwidth: c.Bandwidth, self: n.id}
+	n.links = linkstate.New(linkstate.Config{PriorRTT: c.Latency, PriorBandwidth: c.Bandwidth})
+	n.plan = linkPlanner{links: n.links, self: n.id}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	if c.SpillDir != "" {
 		sp, err := spill.Open(c.SpillDir)
@@ -143,8 +139,6 @@ func NewNode(cfg Config) (*Node, error) {
 	tier := store.Tier{
 		Capacity:  c.MemoryLimit,
 		Admission: c.MemoryLimit > 0,
-		HighWater: c.SpillHighWater,
-		LowWater:  c.SpillLowWater,
 		OnEvict:   n.onEvict,
 	}
 	if n.spill != nil {
@@ -199,7 +193,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.dataLn = newChanListener(ln.Addr())
 	n.ctrlLn = newChanListener(ln.Addr())
 	n.dataSrv = transport.NewServer(n.dataLn, n.serveBuffer, c.ChunkSize, n.onSendFailure)
-	n.dataSrv.ConfigureScheduler(c.SchedClasses, c.BulkCutoff)
+	n.dataSrv.ConfigureScheduler(c.SchedClasses)
 	n.dataSrv.SetTelemetry(func(peer types.NodeID, bytes int64, d time.Duration) {
 		n.links.ObserveTransfer(peer, bytes, d)
 	})
@@ -250,7 +244,7 @@ func (n *Node) reofferSpilled() {
 	for len(pending) > 0 && n.ctx.Err() == nil {
 		var failed []spill.Entry
 		for _, ent := range pending {
-			ctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+			ctx, cancel := n.rpcCtx()
 			err := n.dir.MarkSpilled(ctx, ent.OID, ent.Size)
 			cancel()
 			switch {
@@ -298,7 +292,7 @@ func (n *Node) demoteToSpill(oid types.ObjectID, buf *buffer.Buffer) bool {
 	n.signalStoreChange()
 	size := buf.Size()
 	go func() {
-		ctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		ctx, cancel := n.rpcCtx()
 		err := n.dir.MarkSpilled(ctx, oid, size)
 		cancel()
 		if errors.Is(err, types.ErrDeleted) {
@@ -307,6 +301,14 @@ func (n *Node) demoteToSpill(oid types.ObjectID, buf *buffer.Buffer) bool {
 		}
 	}()
 	return true
+}
+
+// rpcCtx bounds a best-effort directory call the node makes on its own
+// behalf: a pull's lease return, a spill downgrade, a reduce's cleanup. It
+// derives from the node's context, not a caller's: a cancelled Get must
+// not leave its sender leased.
+func (n *Node) rpcCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(n.ctx, 10*time.Second)
 }
 
 func nameOrTemp(name string) string {
@@ -666,7 +668,7 @@ func (n *Node) drainMonitor() {
 		if !n.drainComplete() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		ctx, cancel := n.rpcCtx()
 		_, err := n.dir.DrainFinished(ctx, n.id)
 		cancel()
 		if err == nil {

@@ -27,10 +27,8 @@ const slowFraction = 0.5
 // priors where nothing has been measured, so a cold cluster behaves as if
 // all links were equal: arrival order, equal spans, the prior scalars.
 type linkPlanner struct {
-	links     *linkstate.Tracker
-	latency   time.Duration
-	bandwidth float64
-	self      types.NodeID // the planning node: a reduce coordinator
+	links *linkstate.Tracker
+	self  types.NodeID // the planning node: a reduce coordinator
 }
 
 // rankSenders orders leased senders most-preferred (highest estimated
@@ -94,7 +92,7 @@ func (p linkPlanner) reduceParams() (time.Duration, float64) {
 		}
 	}
 	if n == 0 {
-		return p.latency, p.bandwidth
+		return p.links.Prior()
 	}
 	return time.Duration(rtt / float64(n) * float64(time.Second)), bw / float64(n)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hoplite/internal/linkstate"
+	"hoplite/internal/transport"
 	"hoplite/internal/types"
 )
 
@@ -19,7 +20,7 @@ func seededPlanner(priorLat time.Duration, priorBW float64, bw map[types.NodeID]
 		// that sets the EWMA directly to b.
 		tr.ObserveTransfer(peer, int64(b), time.Second)
 	}
-	return linkPlanner{links: tr, latency: priorLat, bandwidth: priorBW}
+	return linkPlanner{links: tr}
 }
 
 func TestLinkPlannerRanksSendersByBandwidth(t *testing.T) {
@@ -109,7 +110,7 @@ func TestLinkPlannerReduceParamsShiftDegree(t *testing.T) {
 	const (
 		n     = 16
 		size  = 4 << 20
-		chunk = DefaultChunkSize
+		chunk = transport.DefaultChunkSize
 	)
 	priorLat, priorBW := 200*time.Microsecond, 1.25e9
 	p := seededPlanner(priorLat, priorBW, map[types.NodeID]float64{

@@ -310,8 +310,8 @@ func (n *Node) runRound(pl *pullPlan, srcs []source, spans []int64) error {
 // the next round, re-fetch exactly the missing ranges. A span of 0 marks a
 // round of one, which claims everything missing; there a claim from the
 // watermark to the end goes out as a full pull, which keeps objects under
-// BulkCutoff in the sender's latency class and ranged pulls to striped
-// rounds.
+// the transport's bulk cutoff in the sender's latency class and ranged
+// pulls to striped rounds.
 func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 	buf := pl.buf
 	solo := span == 0
@@ -429,13 +429,6 @@ func (n *Node) endPull(oid types.ObjectID, p *pull) {
 		delete(n.pulls, oid)
 	}
 	n.mu.Unlock()
-}
-
-// rpcCtx bounds a best-effort directory call made on a pull's behalf. It
-// derives from the node's context, not the Get's: a cancelled Get must not
-// leave its sender leased.
-func (n *Node) rpcCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(n.ctx, 10*time.Second)
 }
 
 // peerSource pulls from another node's copy over the data plane. A leased

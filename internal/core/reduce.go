@@ -345,7 +345,7 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 		}
 	}
 	out.Seal()
-	cctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+	cctx, cancel := n.rpcCtx()
 	defer cancel()
 	_ = n.dir.PutComplete(cctx, outOID)
 }
@@ -664,7 +664,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	}
 
 	failHost = func(host types.NodeID) {
-		pctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		pctx, cancel := n.rpcCtx()
 		_ = n.dir.PurgeNode(pctx, host)
 		cancel()
 		// Drop the dead host from our cached locations right away: the
@@ -710,7 +710,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		// Delete superseded outputs (waking any reader blocked on them),
 		// bump epochs and reissue output IDs, then resend specs to live
 		// hosts.
-		dctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		dctx, cancel := n.rpcCtx()
 		for s := range restart {
 			_ = n.Delete(dctx, outOID[s])
 		}
@@ -807,7 +807,7 @@ func (n *Node) cleanupReduce(run types.ObjectID, assigned []*assignment, outOID 
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(n.ctx, 10*time.Second)
+		ctx, cancel := n.rpcCtx()
 		defer cancel()
 		for host := range hosts {
 			c, err := n.peerCtrl(ctx, string(host))

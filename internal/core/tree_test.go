@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"hoplite/internal/transport"
 	"hoplite/internal/types"
 )
 
@@ -214,7 +215,7 @@ func TestEstimateReduceTimeModel(t *testing.T) {
 func TestChooseDegreeRegimes(t *testing.T) {
 	L := 200 * time.Microsecond
 	B := 1.25e9
-	const c = DefaultChunkSize
+	const c = transport.DefaultChunkSize
 	// Tiny objects: latency dominates → star (d = n), Appendix B.
 	if d := chooseDegree(16, L, B, 4<<10, c); d != 16 {
 		t.Fatalf("4KB: d=%d, want n", d)
@@ -236,7 +237,7 @@ func TestChooseDegreeIsArgmin(t *testing.T) {
 		size := int64(sizeRaw)%(64<<20) + 1
 		L := 200 * time.Microsecond
 		B := 1.25e9
-		const c = DefaultChunkSize
+		const c = transport.DefaultChunkSize
 		best := chooseDegree(n, L, B, size, c)
 		bestT := estimateReduceTime(best, n, L, B, size, c)
 		for _, d := range []int{1, 2, n} {

@@ -3,16 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/types"
 )
-
-// writeBlock is the largest run a Write appends at once: each append wakes
-// the readers streaming the object, so a large Write still feeds them
-// block by block (§5.1.1 reports a 4 MB pipelining block).
-const writeBlock = 4 << 20
 
 // ObjectWriter is the streaming producer handle returned by Node.Create:
 // an io.Writer over a store buffer whose partial location is already
@@ -90,8 +84,11 @@ func (w *ObjectWriter) Write(p []byte) (int, error) {
 		w.teardown(fmt.Errorf("core: write past declared size %d of %v", w.size, w.oid))
 		return 0, w.err
 	}
-	for off := 0; off < len(p); off += writeBlock {
-		end := off + writeBlock
+	// Append at most one ledger chunk at a time: each append wakes the
+	// readers streaming the object, so a large Write still feeds them block
+	// by block (§5.1.1 reports a 4 MB pipelining block).
+	for off := 0; off < len(p); off += buffer.DefaultLedgerChunk {
+		end := off + buffer.DefaultLedgerChunk
 		if end > len(p) {
 			end = len(p)
 		}
@@ -151,7 +148,7 @@ func (w *ObjectWriter) teardown(err error) {
 	w.err = err
 	w.done = true
 	w.n.store.Delete(w.oid)
-	rctx, cancel := context.WithTimeout(w.n.ctx, 10*time.Second)
+	rctx, cancel := w.n.rpcCtx()
 	_ = w.n.dir.RemoveLocation(rctx, w.oid)
 	cancel()
 }

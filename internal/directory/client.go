@@ -22,8 +22,8 @@ import (
 const failoverBackoff = 30 * time.Millisecond
 
 // Update is a push notification about an object's directory record,
-// delivered to Subscribe callbacks (the paper's asynchronous location
-// query, §3.2).
+// delivered to Watch callbacks (the paper's asynchronous location query,
+// §3.2).
 type Update struct {
 	OID     types.ObjectID
 	Size    int64
@@ -35,7 +35,7 @@ type Update struct {
 // Dialer connects to a directory shard address.
 type Dialer func(ctx context.Context, addr string) (net.Conn, error)
 
-// subscription is one registered Subscribe/Watch callback.
+// subscription is one registered Watch callback.
 type subscription struct {
 	id int
 	fn func(Update)
@@ -379,7 +379,7 @@ func (c *Client) callShard(ctx context.Context, shard int, m wire.Message) (wire
 	return resp, err
 }
 
-// readCall routes a read (Lookup/Subscribe) across the shard's replicas,
+// readCall routes a read (Lookup/Watch) across the shard's replicas,
 // starting from this client's spread-assigned replica. It returns the
 // address that served the call, so subscriptions can be re-homed if that
 // replica dies.
@@ -619,44 +619,31 @@ func (c *Client) Lookup(ctx context.Context, oid types.ObjectID, wait bool) (Rec
 	return Record{Size: resp.Size, Locs: resp.Locs, Inline: resp.Payload}, nil
 }
 
-// Subscribe registers fn for push notifications about oid and returns the
-// current record immediately. The subscription lives until Unsubscribe or
-// client close. Subscriptions are served by any in-sync replica — backups
-// fan out the updates they apply — and are transparently re-homed onto a
-// live replica when the serving one dies.
-func (c *Client) Subscribe(ctx context.Context, oid types.ObjectID, fn func(Update)) (Record, error) {
-	rec, _, err := c.watch(ctx, oid, fn)
-	return rec, err
-}
-
-// Watch is Subscribe with an individually removable callback: the
-// returned cancel removes just this registration (telling the shard to
-// stop pushing only when no other local callback for oid remains).
+// Watch registers fn for push notifications about oid and returns the
+// current record immediately. The registration lives until the returned
+// cancel or client close; cancel removes just this callback, telling the
+// shard to stop pushing only when no other local callback for oid remains.
+// Watches are served by any in-sync replica — backups fan out the updates
+// they apply — and are transparently re-homed onto a live replica when the
+// serving one dies.
 func (c *Client) Watch(ctx context.Context, oid types.ObjectID, fn func(Update)) (Record, func(), error) {
-	rec, id, err := c.watch(ctx, oid, fn)
-	cancel := func() { c.unwatch(oid, id) }
-	return rec, cancel, err
-}
-
-func (c *Client) watch(ctx context.Context, oid types.ObjectID, fn func(Update)) (Record, int, error) {
 	c.subMu.Lock()
 	c.nextSub++
 	id := c.nextSub
 	c.subs[oid] = append(c.subs[oid], subscription{id: id, fn: fn})
 	c.subMu.Unlock()
+	cancel := func() { c.unwatch(oid, id) }
 	resp, addr, err := c.readCall(ctx, wire.Message{Method: wire.MethodSubscribe, OID: oid, Node: c.self})
 	if err != nil && !errors.Is(err, types.ErrDeleted) {
-		c.unwatch(oid, id) // the shard never learned of this registration
-		return Record{}, id, err
+		cancel() // the shard never learned of this registration
+		return Record{}, cancel, err
 	}
 	c.subMu.Lock()
 	c.subAddr[oid] = addr
 	c.subMu.Unlock()
-	rec := Record{Size: resp.Size, Locs: resp.Locs, Inline: resp.Payload}
-	if errors.Is(err, types.ErrDeleted) {
-		return rec, id, types.ErrDeleted
-	}
-	return rec, id, nil
+	// A deleted object still registers the watch: its re-creation is what
+	// the caller is usually waiting for.
+	return Record{Size: resp.Size, Locs: resp.Locs, Inline: resp.Payload}, cancel, err
 }
 
 func (c *Client) unwatch(oid types.ObjectID, id int) {
@@ -680,20 +667,6 @@ func (c *Client) unwatch(oid types.ObjectID, id int) {
 	if addr != "" {
 		c.wireUnsubscribe(oid, addr)
 	}
-}
-
-// Unsubscribe removes all local callbacks for oid and tells the shard to
-// stop pushing.
-func (c *Client) Unsubscribe(ctx context.Context, oid types.ObjectID) error {
-	c.subMu.Lock()
-	delete(c.subs, oid)
-	addr := c.subAddr[oid]
-	delete(c.subAddr, oid)
-	c.subMu.Unlock()
-	if addr != "" {
-		c.wireUnsubscribe(oid, addr)
-	}
-	return nil
 }
 
 // wireUnsubscribe tells the replica that was pushing for oid to stop,

@@ -440,7 +440,7 @@ func TestSubscribeNotifications(t *testing.T) {
 	oid := types.ObjectIDFromString("x")
 	var mu sync.Mutex
 	var updates []Update
-	_, err := cs[1].Subscribe(ctx, oid, func(u Update) {
+	_, cancel, err := cs[1].Watch(ctx, oid, func(u Update) {
 		mu.Lock()
 		updates = append(updates, u)
 		mu.Unlock()
@@ -448,6 +448,7 @@ func TestSubscribeNotifications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cancel()
 	cs[0].PutStarted(ctx, oid, 42)
 	cs[0].PutComplete(ctx, oid)
 	deadline := time.Now().Add(5 * time.Second)
@@ -471,22 +472,38 @@ func TestSubscribeNotifications(t *testing.T) {
 	}
 }
 
+// TestUnsubscribeStopsNotifications: cancelling one of two watches on an
+// object silences only that callback; cancelling the last unsubscribes,
+// which stops the push.
 func TestUnsubscribeStopsNotifications(t *testing.T) {
 	cs := startShard(t, "pub", "sub")
 	ctx := ctxT(t)
 	oid := types.ObjectIDFromString("x")
-	count := make(chan struct{}, 16)
-	if _, err := cs[1].Subscribe(ctx, oid, func(Update) { count <- struct{}{} }); err != nil {
+	cancelled := make(chan struct{}, 16)
+	kept := make(chan struct{}, 16)
+	_, cancel, err := cs[1].Watch(ctx, oid, func(Update) { cancelled <- struct{}{} })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cs[1].Unsubscribe(ctx, oid); err != nil {
+	_, cancelKept, err := cs[1].Watch(ctx, oid, func(Update) { kept <- struct{}{} })
+	if err != nil {
 		t.Fatal(err)
 	}
+	cancel()
 	cs[0].PutStarted(ctx, oid, 1)
+	select {
+	case <-kept:
+	case <-time.After(5 * time.Second):
+		t.Fatal("remaining watch got no notification")
+	}
+	cancelKept()
+	cs[0].PutComplete(ctx, oid)
 	time.Sleep(50 * time.Millisecond)
 	select {
-	case <-count:
-		t.Fatal("notification after unsubscribe")
+	case <-cancelled:
+		t.Fatal("notification after cancel")
+	case <-kept:
+		t.Fatal("notification after the last cancel")
 	default:
 	}
 }

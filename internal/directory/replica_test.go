@@ -463,7 +463,7 @@ func TestSnapshotResyncAfterRestart(t *testing.T) {
 	}
 }
 
-// TestSubscribeRehomedOnReplicaDeath subscribes through the replica group,
+// TestSubscribeRehomedOnReplicaDeath watches through the replica group,
 // kills the replica serving the subscription, and checks updates keep
 // flowing (the client re-homes the subscription; backups fan out the
 // mutations they apply).
@@ -473,9 +473,11 @@ func TestSubscribeRehomedOnReplicaDeath(t *testing.T) {
 	c := h.client("subnode")
 	oid := types.ObjectIDFromString("rehome")
 	updates := make(chan Update, 64)
-	if _, err := c.Subscribe(ctx, oid, func(u Update) { updates <- u }); err != nil {
-		t.Fatalf("Subscribe: %v", err)
+	_, cancel, err := c.Watch(ctx, oid, func(u Update) { updates <- u })
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
 	}
+	defer cancel()
 	writer := h.client("writer")
 	if err := writer.PutStarted(ctx, oid, 9); err != nil {
 		t.Fatal(err)

@@ -31,9 +31,9 @@ const (
 )
 
 const (
-	// DefaultBulkCutoff: a full pull of at least this many bytes is
-	// scheduled as bulk; ranged (striped) pulls are always bulk.
-	DefaultBulkCutoff = 1 << 20
+	// bulkCutoff: a full pull of at least this many bytes is scheduled as
+	// bulk; ranged (striped) pulls are always bulk.
+	bulkCutoff = 1 << 20
 	// frameOverhead is the per-chunk frame header size counted against a
 	// class's granted bytes.
 	frameOverhead = 5

@@ -179,14 +179,14 @@ func TestConfigureSchedulerQuantumIsOneChunkFrame(t *testing.T) {
 	}
 	defer ln.Close()
 	s := NewServer(ln, nil, 8<<10, nil)
-	s.ConfigureScheduler(2, 0)
+	s.ConfigureScheduler(2)
 	if s.sched == nil {
 		t.Fatal("scheduler not installed")
 	}
 	if want := int64(8<<10 + frameOverhead); s.sched.quantum != want {
 		t.Fatalf("quantum %d, want %d", s.sched.quantum, want)
 	}
-	s.ConfigureScheduler(1, 0)
+	s.ConfigureScheduler(1)
 	if s.sched != nil {
 		t.Fatal("classes=1 must remove the scheduler")
 	}

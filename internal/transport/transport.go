@@ -131,10 +131,9 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	closed bool
 
-	// sched and bulkCutoff are set by ConfigureScheduler before Serve;
-	// a nil sched means pulls write directly (single-class behavior).
-	sched      *egress
-	bulkCutoff int64
+	// sched is set by ConfigureScheduler before Serve; nil means pulls
+	// write directly (single-class behavior).
+	sched *egress
 
 	peerMu    sync.Mutex
 	peers     map[types.NodeID]PeerStat
@@ -155,9 +154,8 @@ func NewServer(ln net.Listener, get Getter, chunkSize int, onFail SendFailFunc) 
 	}
 	return &Server{
 		ln: ln, get: get, onFail: onFail, chunk: chunkSize,
-		conns:      make(map[net.Conn]struct{}),
-		bulkCutoff: DefaultBulkCutoff,
-		peers:      make(map[types.NodeID]PeerStat),
+		conns: make(map[net.Conn]struct{}),
+		peers: make(map[types.NodeID]PeerStat),
 	}
 }
 
@@ -165,12 +163,9 @@ func NewServer(ln net.Listener, get Getter, chunkSize int, onFail SendFailFunc) 
 // weighted-fair egress scheduler. The byte-deficit one class may lead the
 // other by is one chunk frame — the smallest quantum that keeps the deficit
 // gate deadlock-free, and so the tightest isolation. A full pull of at
-// least bulkCutoff bytes is classed as bulk (ranged pulls always are); <= 0
-// keeps DefaultBulkCutoff. Call before Serve.
-func (s *Server) ConfigureScheduler(classes int, bulkCutoff int64) {
-	if bulkCutoff > 0 {
-		s.bulkCutoff = bulkCutoff
-	}
+// least bulkCutoff bytes is classed as bulk (ranged pulls always are).
+// Call before Serve.
+func (s *Server) ConfigureScheduler(classes int) {
 	if classes <= 1 {
 		s.sched = nil
 		return
@@ -364,7 +359,7 @@ func (s *Server) servePull(ctx context.Context, bw *bufio.Writer, st *pullState,
 	}
 	// Classify for the egress scheduler: striped (ranged) pulls and large
 	// full pulls are bulk; small full pulls are latency-sensitive.
-	if length > 0 || end-offset >= s.bulkCutoff {
+	if length > 0 || end-offset >= bulkCutoff {
 		st.class = classBulk
 	}
 	if st.sched != nil {

@@ -16,7 +16,7 @@ import (
 // to win a race on a symmetric fabric.
 func TestStripedGetSkewsSpansTowardFastSender(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 4, Options{Emulate: &netem.LinkConfig{}, StripeThreshold: 1 << 20, MaxSources: 4})
+	c := startCluster(t, 4, Options{Emulate: &netem.LinkConfig{}, Node: Config{StripeThreshold: 1 << 20, MaxSources: 4}})
 
 	// Node 0 at 200 MB/s, nodes 1-2 at 50 MB/s, on the wire and in the
 	// receiver's tracker. Repeated samples pin the EWMA regardless of gain.

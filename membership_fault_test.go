@@ -153,7 +153,7 @@ func TestDeclareDeadRestoresReplication(t *testing.T) {
 	c := startCluster(t, 4, Options{
 		Emulate:           slowEmu(),
 		ObjectReplication: 2,
-		RepairInterval:    50 * time.Millisecond,
+		Node:              Config{RepairInterval: 50 * time.Millisecond},
 	})
 	data := payload(2<<20, 13)
 	oid := ObjectIDFromString("repair-after-death")

@@ -32,7 +32,7 @@ func TestReduceLeavesNoResidue(t *testing.T) {
 	const elems = 128 << 10 // 512 KiB of f32: two wire frames per fold
 	run := func(t *testing.T, degree int, all bool) {
 		ctx := testCtx(t)
-		c := startCluster(t, nodes, Options{ReduceDegree: degree})
+		c := startCluster(t, nodes, Options{Node: Config{ReduceDegree: degree}})
 		sources := make([]ObjectID, nodes)
 		for i := range sources {
 			sources[i] = RandomObjectID()

@@ -25,10 +25,12 @@ func fairnessPhase(t *testing.T, schedClasses int) []time.Duration {
 	)
 	ctx := testCtx(t)
 	c := startCluster(t, 3, Options{
-		Emulate:         &netem.LinkConfig{Latency: 200 * time.Microsecond, BytesPerSec: egressRate},
-		InlineThreshold: -1,       // small objects must ride the data plane to contend
-		ChunkSize:       64 << 10, // short scheduler turns: one bulk chunk drains in ~2ms
-		SchedClasses:    schedClasses,
+		Emulate: &netem.LinkConfig{Latency: 200 * time.Microsecond, BytesPerSec: egressRate},
+		Node: Config{
+			InlineThreshold: -1,       // small objects must ride the data plane to contend
+			ChunkSize:       64 << 10, // short scheduler turns: one bulk chunk drains in ~2ms
+			SchedClasses:    schedClasses,
+		},
 	})
 
 	// Node 0 holds everything; bulk pullers and the small-Get client are

@@ -72,9 +72,8 @@ func TestShardPrimaryKillMidGet(t *testing.T) {
 func TestShardPrimaryKillMidStripedGet(t *testing.T) {
 	ctx := testCtx(t)
 	c := startCluster(t, 5, Options{
-		Emulate:         slowEmu(),
-		StripeThreshold: 1 << 20,
-		MaxSources:      4,
+		Emulate: slowEmu(),
+		Node:    Config{StripeThreshold: 1 << 20, MaxSources: 4},
 	})
 	data := payload(16<<20, 22)
 	// Shard 4's group is nodes 4, 0, 1: node 4 is not among the senders

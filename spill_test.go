@@ -130,10 +130,9 @@ func TestStripedGetWithSpilledSender(t *testing.T) {
 	ctx := testCtx(t)
 	const objSize = 1 << 20
 	c := startCluster(t, 4, Options{
-		MemoryLimit:     1536 << 10,
-		SpillDir:        t.TempDir(),
-		StripeThreshold: 256 << 10,
-		MaxSources:      3,
+		MemoryLimit: 1536 << 10,
+		SpillDir:    t.TempDir(),
+		Node:        Config{StripeThreshold: 256 << 10, MaxSources: 3},
 	})
 	oid := ObjectIDFromString("striped-spill")
 	want := payload(objSize, 7)

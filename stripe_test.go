@@ -48,7 +48,7 @@ func stripedSenders(t *testing.T, maxSources int) int {
 func stripedSendersSized(t *testing.T, maxSources, size int) int {
 	t.Helper()
 	ctx := testCtx(t)
-	c := startCluster(t, 4, Options{StripeThreshold: 1 << 20, MaxSources: maxSources})
+	c := startCluster(t, 4, Options{Node: Config{StripeThreshold: 1 << 20, MaxSources: maxSources}})
 	data := payload(size, 5)
 	oid := ObjectIDFromString("striped-get")
 	if err := c.Node(0).Put(ctx, oid, data); err != nil {
@@ -110,7 +110,7 @@ func TestStripedGetSmallObjectUsesAllSenders(t *testing.T) {
 // pipelined pull: exactly one sender serves, with no ranged pulls.
 func TestSmallGetDoesNotStripe(t *testing.T) {
 	ctx := testCtx(t)
-	c := startCluster(t, 4, Options{StripeThreshold: 64 << 20, MaxSources: 4})
+	c := startCluster(t, 4, Options{Node: Config{StripeThreshold: 64 << 20, MaxSources: 4}})
 	data := payload(8<<20, 6)
 	oid := ObjectIDFromString("unstriped-get")
 	if err := c.Node(0).Put(ctx, oid, data); err != nil {
