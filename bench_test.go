@@ -545,11 +545,11 @@ func BenchmarkSmallObjectInline(b *testing.B) {
 // on the paper's emulated testbed link (200µs, 10 Gbps): concurrent
 // workers drive Put+Get pairs of 1 KiB objects between two nodes.
 //
-//	baseline — the fast path ablated: inline payloads off (every Get is a
-//	  directory acquire plus a data-plane pull), location cache off.
+//	baseline — the fast path ablated: inline payloads off, so every Get
+//	  is a directory acquire plus a data-plane pull.
 //	fastpath — the default configuration: sub-threshold objects ride
-//	  inline in directory replies (a cold Get is one RPC) and locations
-//	  are cached. Control frames coalesce in both variants.
+//	  inline in directory replies (a cold Get is one RPC). Control frames
+//	  coalesce in both variants.
 //
 // CI's bench-smoke job asserts a floor on the fastpath ops/sec and the
 // fastpath/baseline ratio (see .github/workflows/ci.yml).
@@ -607,7 +607,7 @@ func BenchmarkSmallObjectQPS(b *testing.B) {
 		}
 	}
 	b.Run("baseline", func(b *testing.B) {
-		run(b, hoplite.Options{Node: hoplite.Config{InlineThreshold: -1, LocationCacheSize: -1}})
+		run(b, hoplite.Options{Node: hoplite.Config{InlineThreshold: -1}})
 	})
 	b.Run("fastpath", func(b *testing.B) {
 		run(b, hoplite.Options{})

@@ -21,9 +21,6 @@ const (
 	// cold Get of one is a single directory RPC with the payload riding
 	// the Acquire reply.
 	DefaultInlineThreshold = 64 << 10
-	// DefaultLocationCacheSize bounds the per-node cache of directory
-	// lookup results (see loccache.go).
-	DefaultLocationCacheSize = 4096
 	// DefaultStripeThreshold is the minimum object size for which a Get
 	// stripes ranged pulls across multiple complete copies. Below it a
 	// single pipelined pull saturates the path; above it the aggregate
@@ -79,11 +76,6 @@ type Config struct {
 	// Defaults to DefaultInlineThreshold. Negative disables the fast path.
 	InlineThreshold int64
 
-	// LocationCacheSize bounds the per-node cache of directory lookup
-	// results that lets repeat Gets of remote objects skip the directory
-	// and pull straight from a known complete-copy holder. Zero selects
-	// DefaultLocationCacheSize; negative disables the cache.
-	LocationCacheSize int
 	// ChunkSize is the data-plane wire chunk size, and the run a reduce
 	// slot folds and forwards at a time. Defaults to
 	// transport.DefaultChunkSize (256 KiB).
@@ -146,12 +138,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.InlineThreshold < 0 {
 		cfg.InlineThreshold = 0
-	}
-	if cfg.LocationCacheSize == 0 {
-		cfg.LocationCacheSize = DefaultLocationCacheSize
-	}
-	if cfg.LocationCacheSize < 0 {
-		cfg.LocationCacheSize = 0
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = transport.DefaultChunkSize

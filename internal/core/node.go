@@ -50,8 +50,6 @@ type Node struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	locs *locCache // nil when LocationCacheSize < 0
-
 	// links accumulates per-peer RTT and bandwidth estimates from the
 	// node's own traffic; plan turns them into transfer decisions.
 	links *linkstate.Tracker
@@ -119,9 +117,6 @@ func NewNode(cfg Config) (*Node, error) {
 		execs:       make(map[execKey]*reduceExec),
 		peers:       make(map[string]*wire.Client),
 		storeChange: make(chan struct{}),
-	}
-	if c.LocationCacheSize > 0 {
-		n.locs = newLocCache(c.LocationCacheSize)
 	}
 	n.links = linkstate.New(linkstate.Config{PriorRTT: c.Latency, PriorBandwidth: c.Bandwidth})
 	n.plan = linkPlanner{links: n.links, self: n.id}
@@ -338,6 +333,18 @@ func (n *Node) Spill() *spill.Spill { return n.spill }
 // (and ranged striped pulls) this node's store served to receivers.
 func (n *Node) DataStats() transport.Stats { return n.dataSrv.Stats() }
 
+// CacheStats is the location-cache counter pair the benchmark reports.
+type CacheStats struct {
+	Hits   int64
+	Misses int64
+}
+
+// CacheStats reports location-cache counters. Nodes keep no location
+// cache (every remote Get leases its sender through the directory), so it
+// is always the zero value; it stays because the benchmark's layer ladder
+// reads it.
+func (n *Node) CacheStats() CacheStats { return CacheStats{} }
+
 // PeerDataStats reports per-receiver serve counters: how many pulls and
 // bytes this node's store served to each peer.
 func (n *Node) PeerDataStats() map[types.NodeID]transport.PeerStat { return n.dataSrv.PeerStats() }
@@ -534,7 +541,6 @@ func (n *Node) handleCtrl(ctx context.Context, m wire.Message, p *wire.Peer) wir
 		// racing this fan-out checks the tombstone after inserting, so one
 		// of the two orders always wins (no resurrected copy).
 		n.noteTombstone(m.OID)
-		n.dropLocEntry(m.OID)
 		n.store.Delete(m.OID)
 		if n.spill != nil {
 			n.spill.Remove(m.OID)
@@ -727,9 +733,11 @@ func (n *Node) signalStoreChange() {
 // chunk-aligned disk file (full or ranged pulls alike) without being
 // rehydrated into memory. A freshly leased receiver may be asked for the
 // object a moment before its local buffer exists (its Acquire response is
-// still in flight), so absence waits briefly for creation. A buffer is
-// served under a pin, dropped when the pull is done, so a Delete racing
-// the pull cannot recycle the array mid-send.
+// still in flight), so absence waits briefly for creation — unless this
+// node saw the object deleted moments ago and is not fetching it back: a
+// receiver leased before the deletion then hears "deleted" at once. A
+// buffer is served under a pin, dropped when the pull is done, so a
+// Delete racing the pull cannot recycle the array mid-send.
 func (n *Node) serveBuffer(ctx context.Context, oid types.ObjectID) (transport.Payload, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -743,7 +751,11 @@ func (n *Node) serveBuffer(ctx context.Context, oid types.ObjectID) (transport.P
 		}
 		n.mu.Lock()
 		ch := n.storeChange
+		_, pulling := n.pulls[oid]
 		n.mu.Unlock()
+		if !pulling && n.tombstonedSince(oid, time.Now().Add(-deleteGrace)) {
+			return transport.Payload{}, types.ErrDeleted
+		}
 		if time.Now().After(deadline) {
 			return transport.Payload{}, types.ErrNotFound
 		}

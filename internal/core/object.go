@@ -222,6 +222,38 @@ func (n *Node) WaitLocal(ctx context.Context, oid types.ObjectID) error {
 	return err
 }
 
+// noteTombstone records that oid was deleted cluster-wide as observed by
+// this node (EvictLocal fan-out, a deletion seen by a pull, or its own
+// Delete call). The inline fast path consults it: an inline payload whose
+// acquire overlapped the deletion is served to the caller but never
+// materialized in the store, so the eviction fan-out cannot be outrun
+// (resurrection).
+func (n *Node) noteTombstone(oid types.ObjectID) {
+	now := time.Now()
+	n.tombMu.Lock()
+	if n.tombs == nil {
+		n.tombs = make(map[types.ObjectID]time.Time)
+	}
+	if len(n.tombs) > 1024 {
+		for k, t := range n.tombs {
+			if now.Sub(t) > deleteGrace {
+				delete(n.tombs, k)
+			}
+		}
+	}
+	n.tombs[oid] = now
+	n.tombMu.Unlock()
+}
+
+// tombstonedSince reports whether oid was tombstoned after the given
+// instant (typically a pull's start time).
+func (n *Node) tombstonedSince(oid types.ObjectID, since time.Time) bool {
+	n.tombMu.Lock()
+	t, ok := n.tombs[oid]
+	n.tombMu.Unlock()
+	return ok && t.After(since)
+}
+
 // Delete removes every copy of the object cluster-wide (Table 1). The
 // directory entry is tombstoned and each holding node evicts its copy.
 func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
@@ -230,7 +262,6 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 		return err
 	}
 	n.noteTombstone(oid)
-	n.dropLocEntry(oid)
 	epoch := n.mapEpoch()
 	var firstErr error
 	for _, loc := range locs {

@@ -14,12 +14,6 @@ import (
 	"hoplite/internal/types"
 )
 
-// staleReadTimeout bounds time-to-first-byte on an unleased (cached)
-// pull. A sender that no longer holds the object parks the request behind
-// its serveBuffer store-change wait (up to 10s); the watchdog turns that
-// stall into a quick move to the next source.
-const staleReadTimeout = 2 * time.Second
-
 // pull tracks one in-flight inbound transfer so concurrent Gets of the
 // same object share it ("if there is an on-going request for the object
 // locally, the receiver just waits until it gets the completed object",
@@ -36,8 +30,9 @@ type pull struct {
 // every source in a round claims missing ledger runs, fetches them, and on
 // error releases its claim for the survivors (§3.3, §3.5.1). A single
 // pull is a round of one leased peer, a striped pull a round of k, repair
-// the round after a striped failure; a cached pull is a peer that holds no
-// lease, and a spill restore a source that reads a file.
+// the round after a striped failure, and a spill restore a source that
+// reads a file. Every peer source holds a directory lease, so every pulled
+// copy is a registered location (§3.4.1).
 
 // source fills claimed byte ranges of a pull's buffer from one place.
 type source interface {
@@ -69,8 +64,7 @@ type pullPlan struct {
 	buf   *buffer.Buffer
 	gen   int64 // the object generation buf's bytes belong to
 	first []source
-	spans []int64        // per-source claim spans of a striped first round
-	queue []types.NodeID // cached senders not yet tried
+	spans []int64 // per-source claim spans of a striped first round
 	next  func(*pullPlan) (source, error)
 }
 
@@ -103,9 +97,9 @@ func (n *Node) ensureLocal(ctx context.Context, oid types.ObjectID) (*buffer.Buf
 }
 
 // startPull makes the first acquisition for a registered pull and launches
-// its plan. Sources are tried in order: this node's spill tier, the
-// location cache, a multi-lease of complete copies (striped when the
-// object is large enough), then a blocking single lease.
+// its plan. Sources are tried in order: this node's spill tier, a
+// multi-lease of complete copies (striped when the object is large
+// enough), then a blocking single lease.
 func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buffer.Buffer, error) {
 	// finish resolves the pull without a transfer: an inline payload or an
 	// error.
@@ -163,19 +157,8 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 			}
 		}
 	}
-	// Location cache second: a remembered complete-copy holder is pulled
-	// from directly, skipping the directory entirely (warm fast path).
-	if n.locs != nil {
-		if snap, ok := n.locs.get(oid); ok && snap.size >= 0 {
-			if buf, err := n.store.Create(oid, snap.size, false); err == nil {
-				return n.launch(&pullPlan{n: n, oid: oid, p: p, buf: buf, gen: snap.gen, next: nextCached,
-					first: []source{&peerSource{n, oid, snap.senders[0], false}}, queue: snap.senders[1:]}), nil
-			}
-		}
-	}
-
 	var srcs []source
-	var seeds []types.NodeID // whole-copy holders, to seed the location cache
+	var seeds []types.NodeID // leased whole-copy holders, best link first
 	var size, gen int64
 	if n.cfg.MaxSources > 1 && n.cfg.StripeThreshold > 0 {
 		ml, err := n.dir.AcquireSenders(ctx, oid, n.cfg.MaxSources)
@@ -188,7 +171,7 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 			seeds, size, gen = n.plan.rankSenders(ml.Senders), ml.Size, ml.Gen
 		}
 		for _, s := range seeds {
-			srcs = append(srcs, &peerSource{n, oid, s, true})
+			srcs = append(srcs, &peerSource{n, oid, s})
 		}
 		// With no unleased complete copy right now (or the object not yet
 		// produced) fall through to the blocking acquire, which also
@@ -202,9 +185,7 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 		if lease.Inline != nil {
 			return inline(lease.Inline)
 		}
-		// A blocking-acquire sender may hold only a partial copy, so it does
-		// not seed the cache; the watch record fills in whole-copy holders.
-		srcs, size, gen = []source{&peerSource{n, oid, lease.Sender, true}}, lease.Size, lease.Gen
+		srcs, size, gen = []source{&peerSource{n, oid, lease.Sender}}, lease.Size, lease.Gen
 	}
 	striped := len(srcs) >= 2 && size >= n.cfg.StripeThreshold
 	if !striped {
@@ -224,7 +205,6 @@ func (n *Node) startPull(ctx context.Context, oid types.ObjectID, p *pull) (*buf
 		release(srcs)
 		return finish(nil, err)
 	}
-	n.armLocCache(oid, size, gen, seeds)
 	pl := &pullPlan{n: n, oid: oid, p: p, buf: buf, gen: gen, first: srcs, next: nextLease}
 	if striped {
 		// The planner scales each sender's span with its estimated
@@ -344,9 +324,9 @@ func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 		o := abortedDead
 		if errors.Is(err, types.ErrDeleted) {
 			// Deleted cluster-wide: fail the buffer so every other source
-			// stops too, and tombstone in case the deletion push was lost.
+			// stops too, and tombstone so a racing inline acquire cannot
+			// resurrect the object here.
 			n.noteTombstone(pl.oid)
-			n.dropLocEntry(pl.oid)
 			n.store.Delete(pl.oid)
 			o = abortedAlive
 		} else if n.ctx.Err() != nil || errors.Is(err, types.ErrClosed) {
@@ -391,28 +371,12 @@ func nextLease(pl *pullPlan) (source, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &peerSource{pl.n, pl.oid, lease.Sender, true}
+	src := &peerSource{pl.n, pl.oid, lease.Sender}
 	if err := pl.n.rebindLease(pl, lease); err != nil {
 		src.done(abortedAlive)
 		return nil, err
 	}
 	return src, nil
-}
-
-// nextCached tries the remaining cached senders, one round each. Once all
-// have failed the hit was a miss in disguise: drop the entry and fall back
-// through the directory, resuming from whatever prefix the stale attempts
-// landed.
-func nextCached(pl *pullPlan) (source, error) {
-	if len(pl.queue) > 0 {
-		s := pl.queue[0]
-		pl.queue = pl.queue[1:]
-		return &peerSource{pl.n, pl.oid, s, false}, nil
-	}
-	pl.n.locs.stale.Add(1)
-	pl.n.dropLocEntry(pl.oid)
-	pl.next = nextLease
-	return nextLease(pl)
 }
 
 // release returns the leases of sources that never ran.
@@ -431,63 +395,26 @@ func (n *Node) endPull(oid types.ObjectID, p *pull) {
 	n.mu.Unlock()
 }
 
-// peerSource pulls from another node's copy over the data plane. A leased
-// source holds the directory lease on sender; an unleased one (a
-// location-cache hit) holds none, so it guards time-to-first-byte instead
-// and leaves its completed copy unregistered.
+// peerSource pulls from another node's copy over the data plane, holding
+// the directory lease on sender until done returns it.
 type peerSource struct {
 	n      *Node
 	oid    types.ObjectID
 	sender types.NodeID
-	leased bool
 }
 
 func (s *peerSource) fetch(ctx context.Context, buf *buffer.Buffer, off, length int64) error {
 	n, addr := s.n, string(s.sender)
 	dial := func(c context.Context) (net.Conn, error) { return n.dialData(c, addr) }
-	pctx, stop := ctx, func() {}
-	if !s.leased {
-		pctx, stop = firstByteWatchdog(ctx, buf, off)
-	}
 	// The pull's measured rate is a bandwidth sample for the link (a
 	// pipelined source yields the effective path rate planning needs).
-	err := transport.PullObserved(pctx, dial, n.id, s.oid, off, length, buf, func(b int64, d time.Duration) {
+	return transport.PullObserved(ctx, dial, n.id, s.oid, off, length, buf, func(b int64, d time.Duration) {
 		n.links.ObserveTransfer(s.sender, b, d)
 	})
-	if err != nil && pctx.Err() != nil && ctx.Err() == nil && !errors.Is(err, types.ErrDeleted) {
-		err = types.ErrNoSender // the watchdog fired: a stale sender
-	}
-	stop()
-	return err
-}
-
-// firstByteWatchdog derives the context of an unleased pull from off: it is
-// cancelled when no byte has arrived within staleReadTimeout. Its timer
-// stops at the first byte — a timer left pending for the whole transfer
-// measurably slows the pull. stop ends the watch once the pull returned.
-func firstByteWatchdog(ctx context.Context, buf *buffer.Buffer, off int64) (context.Context, func()) {
-	pctx, cancel := context.WithCancel(ctx)
-	watched := make(chan struct{})
-	go func() {
-		defer close(watched)
-		wctx, wcancel := context.WithTimeout(pctx, staleReadTimeout)
-		defer wcancel()
-		_, _, _ = buf.WaitAt(wctx, off)
-		if pctx.Err() == nil && buf.Watermark() == off {
-			cancel()
-		}
-	}()
-	return pctx, func() { cancel(); <-watched }
 }
 
 // done is the one place a lease is returned.
 func (s *peerSource) done(o outcome) {
-	if !s.leased {
-		if o == releasedComplete {
-			s.n.locs.markLocal(s.oid)
-		}
-		return
-	}
 	ctx, cancel := s.n.rpcCtx()
 	defer cancel()
 	if o == releasedPartial || o == releasedComplete {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
@@ -265,4 +266,28 @@ func TestPlanZeroSizeReleases(t *testing.T) {
 		t.Fatalf("zero-size object fetched %v", a.claims)
 	}
 	a.checkDone(t, "source", releasedComplete)
+}
+
+// (g) A pull reaching a node that saw the object deleted moments ago is
+// answered "deleted" at once: a receiver leased before the deletion does
+// not wait out serveBuffer's deadline. A node fetching the object back
+// (a leased receiver of a re-creation) still waits for its buffer.
+func TestServeAfterDeleteAnswersDeleted(t *testing.T) {
+	n := testNode(t)
+	oid := types.ObjectIDFromString("served-after-delete")
+	n.noteTombstone(oid)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := n.serveBuffer(ctx, oid); !errors.Is(err, types.ErrDeleted) {
+		t.Fatalf("serve after delete: %v, want ErrDeleted", err)
+	}
+
+	n.mu.Lock()
+	n.pulls[oid] = &pull{ready: make(chan struct{})}
+	n.mu.Unlock()
+	short, cancelShort := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancelShort()
+	if _, err := n.serveBuffer(short, oid); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("serve while pulling: %v, want a wait until the deadline", err)
+	}
 }

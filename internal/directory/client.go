@@ -121,8 +121,8 @@ func NewReplicatedClient(self types.NodeID, groups [][]string, dial Dialer) *Cli
 }
 
 // ClientStats is a snapshot of the client's control-plane activity, used
-// by the fast-path tests ("a warm cached Get issues zero directory RPCs")
-// and the QPS benchmark.
+// by the RPC-count tests (a cold inline Get is one RPC, a remote Get two)
+// and the benchmark.
 type ClientStats struct {
 	Calls int64           // RPC attempts issued to shard replicas
 	Wire  wire.BatchStats // write batching aggregated across shard connections

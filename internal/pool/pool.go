@@ -22,9 +22,48 @@ const (
 	// maxBits is the largest size class: 1<<maxBits bytes. Requests above
 	// this are allocated directly and never pooled.
 	maxBits = 26 // 64 MiB
+	// largeSize starts the classes that keep a locked free list of up to
+	// freeMax arrays in front of their sync.Pool. A sync.Pool never steals
+	// another P's private slot, so an array put back on one P and wanted
+	// on another misses, and a miss here is a fresh multi-MiB make.
+	largeSize = 1 << 20
+	freeMax   = 2
 )
 
-var classes [fineBits - minBits + 1 + (maxBits-fineBits)*fineSteps]sync.Pool
+var (
+	classes [fineBits - minBits + 1 + (maxBits-fineBits)*fineSteps]sync.Pool
+	free    [len(classes)]freeList
+)
+
+// freeList is a large class's shared stack of recycled arrays.
+type freeList struct {
+	mu   sync.Mutex
+	n    int
+	bufs [freeMax][]byte
+}
+
+func (f *freeList) pop() []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n == 0 {
+		return nil
+	}
+	f.n--
+	b := f.bufs[f.n]
+	f.bufs[f.n] = nil
+	return b
+}
+
+func (f *freeList) push(b []byte) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.n == freeMax {
+		return false
+	}
+	f.bufs[f.n] = b
+	f.n++
+	return true
+}
 
 // class returns the index and capacity of the smallest class holding n
 // bytes; ok is false when n is above the largest class.
@@ -51,6 +90,11 @@ func Get(n int) []byte {
 	if !ok {
 		return make([]byte, n)
 	}
+	if size >= largeSize {
+		if b := free[c].pop(); b != nil {
+			return b[:n]
+		}
+	}
 	if v := classes[c].Get(); v != nil {
 		return (*v.(*[]byte))[:n]
 	}
@@ -67,5 +111,8 @@ func Put(b []byte) {
 		return
 	}
 	b = b[:size]
+	if size >= largeSize && free[c].push(b) {
+		return
+	}
 	classes[c].Put(&b)
 }

@@ -1,6 +1,9 @@
 package pool
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 func TestGetLenAndClassCap(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 1 << 10, (1 << 10) + 1, 1 << 20, 1 << 26} {
@@ -78,6 +81,31 @@ func TestReuse(t *testing.T) {
 		t.Fatalf("len %d", len(c))
 	}
 	Put(c)
+}
+
+// A large-class array put back on one goroutine is the array the next Get
+// on another goroutine returns, whichever P each runs on: the class's
+// free list is shared, where a sync.Pool's per-P private slot is not.
+func TestLargeClassReusedAcrossGoroutines(t *testing.T) {
+	const n = 5 << 20
+	b := Get(n)
+	for hop := 0; hop < 50; hop++ {
+		var put atomic.Bool
+		go func() {
+			Put(b)
+			put.Store(true)
+		}()
+		// Spin rather than block, so this goroutine keeps its P and the
+		// Put runs on another one wherever there are two.
+		for !put.Load() {
+		}
+		c := Get(n)
+		if &c[0] != &b[0] {
+			t.Fatalf("hop %d: Get returned a fresh array, not the one just Put", hop)
+		}
+		b = c
+	}
+	Put(b)
 }
 
 func BenchmarkGetPut64K(b *testing.B) {

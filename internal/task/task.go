@@ -379,14 +379,6 @@ func (c *Cluster) KillNode(i int) {
 	c.signal()
 }
 
-// ReplaceNode swaps the Hoplite node backing index i (after a restart via
-// the cluster facade) before reviving its workers.
-func (c *Cluster) ReplaceNode(i int, n *core.Node) {
-	c.mu.Lock()
-	c.nodes[i] = n
-	c.mu.Unlock()
-}
-
 // ReviveNode restarts workers on a previously killed node (the "task
 // rejoins after reconstruction" scenario, §5.5).
 func (c *Cluster) ReviveNode(i int) {
@@ -442,12 +434,6 @@ type Invocation struct {
 // Reduce calls.
 func (inv *Invocation) Node() *core.Node { return inv.node }
 
-// NumArgs returns the number of argument futures.
-func (inv *Invocation) NumArgs() int { return len(inv.spec.Args) }
-
-// ArgID returns the i-th argument future.
-func (inv *Invocation) ArgID(i int) types.ObjectID { return inv.spec.Args[i] }
-
 // Arg fetches a private copy of the i-th argument, reconstructing it if
 // it was lost. Tasks that only read an argument should prefer ArgRef.
 func (inv *Invocation) Arg(i int) ([]byte, error) {
@@ -460,9 +446,6 @@ func (inv *Invocation) Arg(i int) ([]byte, error) {
 func (inv *Invocation) ArgRef(i int) (*core.ObjectRef, error) {
 	return inv.cluster.GetRefVia(inv.Ctx, inv.NodeIndex, inv.spec.Args[i])
 }
-
-// OutputID returns the i-th return future.
-func (inv *Invocation) OutputID(i int) types.ObjectID { return inv.spec.Outputs[i] }
 
 // SetReturn stores the i-th return value.
 func (inv *Invocation) SetReturn(i int, data []byte) error {

@@ -125,11 +125,14 @@ func TestBackpressureWithoutSpill(t *testing.T) {
 
 // TestStripedGetWithSpilledSender: the striping planner leases a
 // disk-backed sender alongside in-memory ones, and the spilled copy
-// serves its ranges straight off the spill file.
+// serves its ranges straight off the spill file. The in-memory holders'
+// links to the receiver are slow, so they cannot drain the object before
+// the spilled sender claims its first chunk.
 func TestStripedGetWithSpilledSender(t *testing.T) {
 	ctx := testCtx(t)
 	const objSize = 1 << 20
 	c := startCluster(t, 4, Options{
+		Emulate:     &netem.LinkConfig{},
 		MemoryLimit: 1536 << 10,
 		SpillDir:    t.TempDir(),
 		Node:        Config{StripeThreshold: 256 << 10, MaxSources: 3},
@@ -154,6 +157,13 @@ func TestStripedGetWithSpilledSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitProgress(t, ctx, c, oid, c.Node(2).ID(), types.ProgressSpilled)
+	// A third of the object at 4 MiB/s takes about 80 ms per in-memory
+	// sender: far longer than it takes the spilled sender to start.
+	for _, i := range []int{0, 1} {
+		if err := c.SetPairLink(i, 3, netem.LinkConfig{BytesPerSec: 4 << 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	before := c.Node(2).DataStats()
 	got, err := c.Node(3).Get(ctx, oid)
 	if err != nil {
