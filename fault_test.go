@@ -161,7 +161,7 @@ func TestReduceParticipantFailure(t *testing.T) {
 		used, err = c.Node(0).Reduce(ctx, target, sources, 6, SumF32)
 		reduceDone <- err
 	}()
-	time.Sleep(80 * time.Millisecond)
+	waitExecutors(t, c, 3, 1)
 	if err := c.KillNode(3); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestReduceRejoin(t *testing.T) {
 		_, err := c.Node(0).Reduce(ctx, target, sources, len(sources), SumF32)
 		reduceDone <- err
 	}()
-	time.Sleep(80 * time.Millisecond)
+	waitExecutors(t, c, 3, 1)
 	if err := c.KillNode(3); err != nil {
 		t.Fatal(err)
 	}

@@ -77,6 +77,10 @@ type Node struct {
 	storeChange chan struct{}
 	closed      bool
 
+	// peerDown tells reduce coordinators which peers' control connections
+	// dropped: socket liveness is their failure detector (§5.5).
+	peerDown downSubs
+
 	wg sync.WaitGroup
 }
 
@@ -298,12 +302,16 @@ func (n *Node) demoteToSpill(oid types.ObjectID, buf *buffer.Buffer) bool {
 	return true
 }
 
-// rpcCtx bounds a best-effort directory call the node makes on its own
-// behalf: a pull's lease return, a spill downgrade, a reduce's cleanup. It
-// derives from the node's context, not a caller's: a cancelled Get must
-// not leave its sender leased.
+// ctrlRPCTimeout bounds one control RPC the node makes on its own behalf.
+const ctrlRPCTimeout = 10 * time.Second
+
+// rpcCtx bounds a best-effort control call the node makes on its own
+// behalf: a pull's lease return, a spill downgrade, a reduce's specs and
+// cleanup. It derives from the node's context, not a caller's: a cancelled
+// Get must not leave its sender leased, and a cancelled Reduce must not
+// abandon a spec call that its cleanup has to follow.
 func (n *Node) rpcCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(n.ctx, 10*time.Second)
+	return context.WithTimeout(n.ctx, ctrlRPCTimeout)
 }
 
 func nameOrTemp(name string) string {
@@ -503,7 +511,56 @@ func (n *Node) peerCtrl(ctx context.Context, addr string) (*wire.Client, error) 
 	}
 	n.peers[addr] = c
 	n.mu.Unlock()
+	// Registered after the client won the cache, so a loser's Close is no
+	// death; a client that already failed fires at once.
+	c.OnDown(func() {
+		n.mu.Lock()
+		if n.peers[addr] == c {
+			delete(n.peers, addr)
+		}
+		n.mu.Unlock()
+		n.peerDown.fire(peer)
+	})
 	return c, nil
+}
+
+// downSubs fans one peer's control-connection loss out to every
+// subscriber: wire.Client.OnDown takes a single callback per client, and
+// any number of concurrent reduces may depend on the same peer.
+type downSubs struct {
+	mu   sync.Mutex
+	next int
+	fns  map[int]func(types.NodeID)
+}
+
+// subscribe registers fn for every later loss and returns its removal.
+func (s *downSubs) subscribe(fn func(types.NodeID)) (unsubscribe func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.fns == nil {
+		s.fns = make(map[int]func(types.NodeID))
+	}
+	s.next++
+	id := s.next
+	s.fns[id] = fn
+	return func() {
+		s.mu.Lock()
+		delete(s.fns, id)
+		s.mu.Unlock()
+	}
+}
+
+// fire calls every current subscriber with the peer that went down.
+func (s *downSubs) fire(peer types.NodeID) {
+	s.mu.Lock()
+	fns := make([]func(types.NodeID), 0, len(s.fns))
+	for _, fn := range s.fns {
+		fns = append(fns, fn)
+	}
+	s.mu.Unlock()
+	for _, fn := range fns {
+		fn(peer)
+	}
 }
 
 // dropPeer discards a (possibly broken) cached peer connection.

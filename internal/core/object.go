@@ -278,7 +278,11 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 		}
 		resp, err := c.Call(ctx, wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: epoch})
 		if err != nil {
-			n.dropPeer(string(loc.Node), c)
+			// Our own cancellation says nothing about the peer; closing
+			// the shared connection would report it down to every reduce.
+			if ctx.Err() == nil {
+				n.dropPeer(string(loc.Node), c)
+			}
 			continue
 		}
 		if errors.Is(resp.ErrorOf(), types.ErrStaleMap) {
@@ -289,7 +293,7 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 				n.applyMap(cm)
 			}
 			epoch = n.mapEpoch()
-			if _, err := c.Call(ctx, wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: epoch}); err != nil {
+			if _, err := c.Call(ctx, wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: epoch}); err != nil && ctx.Err() == nil {
 				n.dropPeer(string(loc.Node), c)
 			}
 		}

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
+	"sync"
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
@@ -13,10 +13,6 @@ import (
 	"hoplite/internal/types"
 	"hoplite/internal/wire"
 )
-
-// pingInterval is how often a reduce coordinator probes participant
-// liveness.
-const pingInterval = 20 * time.Millisecond
 
 // reduceSpec tells a participant node to run one slot of a reduce tree
 // (§3.4.2). The slot's intermediate output is an ordinary directory object
@@ -141,11 +137,12 @@ type reduceExec struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
+	// completed is set before done closes when the executor sealed its
+	// output and registered it complete in the directory.
+	completed bool
 }
 
-// handleReduceStart starts (or, on an epoch bump, replaces) a slot
-// executor. Replacement is how ancestors of a failed slot "clear the
-// reduced object" and restart (§3.5.2, Figure 5b).
+// handleReduceStart starts the slot executor a coordinator's spec names.
 func (n *Node) handleReduceStart(m wire.Message) wire.Message {
 	var resp wire.Message
 	spec, err := decodeSpec(m.Payload)
@@ -153,17 +150,26 @@ func (n *Node) handleReduceStart(m wire.Message) wire.Message {
 		resp.SetError(fmt.Errorf("core: bad reduce spec: %w", err))
 		return resp
 	}
+	_, err = n.startReduceSlot(spec)
+	resp.SetError(err)
+	return resp
+}
+
+// startReduceSlot starts (or, on an epoch bump, replaces) a slot
+// executor; it returns nil for a stale or duplicate start. Replacement is
+// how ancestors of a failed slot "clear the reduced object" and restart
+// (§3.5.2, Figure 5b).
+func (n *Node) startReduceSlot(spec *reduceSpec) (*reduceExec, error) {
 	key := execKey{reduceID: spec.ReduceID, slot: spec.Slot}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		resp.SetError(types.ErrClosed)
-		return resp
+		return nil, types.ErrClosed
 	}
 	old := n.execs[key]
 	if old != nil && old.spec.Epoch >= spec.Epoch {
 		n.mu.Unlock()
-		return resp // stale or duplicate start
+		return nil, nil // stale or duplicate start
 	}
 	ctx, cancel := context.WithCancel(n.ctx)
 	e := &reduceExec{spec: spec, ctx: ctx, cancel: cancel, done: make(chan struct{})}
@@ -192,7 +198,15 @@ func (n *Node) handleReduceStart(m wire.Message) wire.Message {
 		}
 		n.runReduceSlot(e)
 	}()
-	return resp
+	return e, nil
+}
+
+// ReduceExecutors reports how many reduce slot executors this node holds
+// (used by tests and tools): a finished or cancelled reduce leaves none.
+func (n *Node) ReduceExecutors() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.execs)
 }
 
 // handleReduceCancel stops every executor of a reduce. The coordinator
@@ -347,7 +361,7 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 	out.Seal()
 	cctx, cancel := n.rpcCtx()
 	defer cancel()
-	_ = n.dir.PutComplete(cctx, outOID)
+	e.completed = n.dir.PutComplete(cctx, outOID) == nil
 }
 
 // assignment tracks which source object fills a tree slot and where.
@@ -386,15 +400,18 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 			return nil, fmt.Errorf("core: duplicate source %v", src)
 		}
 		seen[src] = true
-		// A watch, not a subscription: a concurrent reduce on this node may
-		// watch the same object (a chained reduce's source is another's
-		// target), and ending ours must not end theirs.
-		rec, stop, err := n.dir.Watch(ctx, src, push)
-		if err != nil && !errors.Is(err, types.ErrDeleted) {
-			return nil, err
-		}
-		defer stop()
-		push(directory.Update{OID: src, Size: rec.Size, Locs: rec.Locs, Inline: rec.Inline})
+	}
+	// Watches, not subscriptions: a concurrent reduce on this node may
+	// watch the same object (a chained reduce's source is another's
+	// target), and ending ours must not end theirs. The initial records
+	// queue in source order, so slots fill as a serial loop would fill them.
+	recs, stop, err := n.watchAll(ctx, sources, push)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	for i, rec := range recs {
+		push(directory.Update{OID: sources[i], Size: rec.Size, Locs: rec.Locs, Inline: rec.Inline})
 	}
 
 	// Wait for the first available source to learn the object size, which
@@ -452,6 +469,47 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 	return n.reduceTree(ctx, target, num, op, size, updates, absorb, srcLocs, &readyOrder, inQueue)
 }
 
+// watchAll watches every oid at once, so n watches cost one round trip,
+// not n. It returns the initial records in oid order and a stop that ends
+// every watch, again at once. A deleted object still registers its watch:
+// its re-creation is what a reduce waits for.
+func (n *Node) watchAll(ctx context.Context, oids []types.ObjectID, fn func(directory.Update)) ([]directory.Record, func(), error) {
+	recs := make([]directory.Record, len(oids))
+	stops := make([]func(), len(oids))
+	errs := make([]error, len(oids))
+	var wg sync.WaitGroup
+	for i, oid := range oids {
+		wg.Add(1)
+		go func(i int, oid types.ObjectID) {
+			defer wg.Done()
+			rec, stop, err := n.dir.Watch(ctx, oid, fn)
+			if err != nil && !errors.Is(err, types.ErrDeleted) {
+				errs[i] = err
+				return
+			}
+			recs[i], stops[i] = rec, stop
+		}(i, oid)
+	}
+	wg.Wait()
+	stopAll := func() {
+		var wg sync.WaitGroup
+		for _, stop := range stops {
+			if stop != nil {
+				wg.Add(1)
+				go func(stop func()) { defer wg.Done(); stop() }(stop)
+			}
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			stopAll()
+			return nil, nil, err
+		}
+	}
+	return recs, stopAll, nil
+}
+
 // reduceSmall gathers the first num small source payloads at the
 // coordinator and publishes the folded result.
 func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources []types.ObjectID, num int, op types.ReduceOp, size int64, updates chan directory.Update, absorb func(directory.Update), inline map[types.ObjectID][]byte, readyOrder *[]types.ObjectID) ([]types.ObjectID, error) {
@@ -499,8 +557,14 @@ func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources [
 
 // reduceTree runs the dynamic d-ary tree reduce: slots fill with sources
 // in arrival order (generalized in-order traversal), specs stream to
-// participant hosts, liveness is probed, and failures trigger slot
-// replacement plus epoch-bumped restarts of the ancestors (§3.5.2).
+// participant hosts, a participant's dropped control connection marks it
+// dead (socket liveness, §5.5), and failures trigger slot replacement plus
+// epoch-bumped restarts of the ancestors (§3.5.2).
+//
+// Only the event loop's goroutine writes the slot state (assigned, epoch,
+// outOID). Everything that waits on the network — spec calls, the target
+// watch, the local root executor — runs beside it and reports back over a
+// channel, so no round trip ever stalls the loop.
 func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, op types.ReduceOp, size int64, updates chan directory.Update, absorb func(directory.Update), srcLocs map[types.ObjectID][]types.Location, readyOrder *[]types.ObjectID, inQueue map[types.ObjectID]bool) ([]types.ObjectID, error) {
 	d := n.cfg.ReduceDegree
 	if d <= 0 {
@@ -547,27 +611,62 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		return free
 	}
 
+	// finished releases every helper still waiting to report to the loop.
+	finished := make(chan struct{})
+	defer close(finished)
+
+	// failed carries hosts whose spec call or control connection failed;
+	// it holds a report per slot, so reporters seldom wait on the loop.
+	// The subscription precedes the first spec, so no participant's loss
+	// can fall between them.
+	failed := make(chan types.NodeID, num)
+	reportFailed := func(host types.NodeID) {
+		select {
+		case failed <- host:
+		case <-finished:
+		}
+	}
+	defer n.peerDown.subscribe(reportFailed)()
+
+	// The target watch reports a remote root's completion, so it is off
+	// the critical path: it registers while the specs go out.
 	targetDone := make(chan struct{}, 1)
-	trec, stop, err := n.dir.Watch(ctx, target, func(u directory.Update) {
-		for _, l := range u.Locs {
+	markDone := func(locs []types.Location) {
+		for _, l := range locs {
 			if l.Progress.HasAll() {
 				select {
 				case targetDone <- struct{}{}:
 				default:
 				}
+				return
 			}
 		}
-	})
-	if err != nil && !errors.Is(err, types.ErrDeleted) {
-		return nil, err
 	}
-	defer stop()
-	for _, l := range trec.Locs {
-		if l.Progress.HasAll() {
-			targetDone <- struct{}{}
-			break
+	type watched struct {
+		stop func()
+		err  error
+	}
+	targetWatch := make(chan watched, 1)
+	go func() {
+		recs, stop, err := n.watchAll(ctx, []types.ObjectID{target}, func(u directory.Update) { markDone(u.Locs) })
+		if err == nil {
+			markDone(recs[0].Locs)
 		}
-	}
+		targetWatch <- watched{stop, err}
+	}()
+	var stopTarget func()
+	defer func() {
+		if targetWatch != nil {
+			stopTarget = (<-targetWatch).stop
+		}
+		if stopTarget != nil {
+			stopTarget()
+		}
+	}()
+	// rootDone carries the epoch of a local root executor that sealed and
+	// registered the target: the reduce is over without waiting for the
+	// directory to push that news back.
+	rootDone := make(chan int64, 1)
 
 	pickHost := func(locs []types.Location) (types.NodeID, bool) {
 		var partial types.NodeID
@@ -601,30 +700,50 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		}
 	}
 
-	var failHost func(host types.NodeID)
+	// sentTo is every host that was sent a spec; inflight counts the spec
+	// calls not yet answered. Cleanup cancels the executors on all of them
+	// once every call is answered, so no late start outlives the reduce.
+	sentTo := make(map[types.NodeID]bool)
+	var inflight sync.WaitGroup
 
+	// sendSpec starts a slot on its host: directly when the host is this
+	// node, else by a call that runs beside the loop and reports failure.
 	sendSpec := func(slot int) {
 		spec := buildSpec(slot)
+		host := assigned[slot].host
+		sentTo[host] = true
+		if host == n.id {
+			// Fails only when this node is closing, which ends the loop.
+			e, err := n.startReduceSlot(spec)
+			if err != nil || e == nil || !spec.IsRoot {
+				return
+			}
+			go func() {
+				select {
+				case <-e.done:
+				case <-finished:
+					return
+				}
+				if e.completed {
+					select {
+					case rootDone <- spec.Epoch:
+					case <-finished:
+					}
+				}
+			}()
+			return
+		}
 		payload, err := encodeSpec(spec)
 		if err != nil {
 			return
 		}
-		host := assigned[slot].host
-		c, err := n.peerCtrl(ctx, string(host))
-		if err != nil {
-			failHost(host)
-			return
-		}
-		cctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		resp, err := c.Call(cctx, wire.Message{Method: wire.MethodReduceStart, Payload: payload})
-		cancel()
-		if err == nil {
-			err = resp.ErrorOf()
-		}
-		if err != nil {
-			n.dropPeer(string(host), c)
-			failHost(host)
-		}
+		inflight.Add(1)
+		go func() {
+			defer inflight.Done()
+			if err := n.callReduceStart(host, payload); err != nil {
+				reportFailed(host)
+			}
+		}()
 	}
 
 	// tryAssign fills open slots with ready sources in arrival order; the
@@ -663,7 +782,22 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		}
 	}
 
-	failHost = func(host types.NodeID) {
+	failHost := func(host types.NodeID) {
+		if n.ctx.Err() != nil {
+			return // this node is closing: its connections drop, not the peer
+		}
+		// Collect this host's slots, lowest (deepest in-order) first. A
+		// host holding none is a stale report or a peer this reduce does
+		// not use.
+		var failedSlots []int
+		for slot, a := range assigned {
+			if a != nil && a.host == host {
+				failedSlots = append(failedSlots, slot)
+			}
+		}
+		if len(failedSlots) == 0 {
+			return
+		}
 		pctx, cancel := n.rpcCtx()
 		_ = n.dir.PurgeNode(pctx, host)
 		cancel()
@@ -678,16 +812,6 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 				}
 			}
 			srcLocs[src] = kept
-		}
-		// Collect this host's slots, lowest (deepest in-order) first.
-		var failedSlots []int
-		for slot, a := range assigned {
-			if a != nil && a.host == host {
-				failedSlots = append(failedSlots, slot)
-			}
-		}
-		if len(failedSlots) == 0 {
-			return
 		}
 		restart := make(map[int]bool)
 		for _, slot := range failedSlots {
@@ -731,74 +855,86 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		tryAssign()
 	}
 
+	// cleanup hands the teardown to cleanupReduce, off the caller's path.
+	cleanup := func() {
+		var intermediates []types.ObjectID
+		for s, a := range assigned {
+			if a != nil && s != root {
+				intermediates = append(intermediates, outOID[s])
+			}
+		}
+		n.cleanupReduce(run, sentTo, intermediates, &inflight)
+	}
+
+	// finish returns the used sources, slot order, and tears down.
+	finish := func() []types.ObjectID {
+		used := make([]types.ObjectID, 0, num)
+		for _, a := range assigned {
+			if a != nil {
+				used = append(used, a.src)
+			}
+		}
+		cleanup()
+		return used
+	}
+
 	tryAssign()
 
-	// Event loop: absorb arrivals, probe participant liveness, finish
+	// Event loop: absorb arrivals, replace failed participants, finish
 	// when the target object is complete.
-	ping := time.NewTicker(pingInterval)
-	defer ping.Stop()
 	for {
 		select {
 		case u := <-updates:
 			absorb(u)
 			tryAssign()
-		case <-ping.C:
-			hosts := make(map[types.NodeID]bool)
-			for _, a := range assigned {
-				if a != nil {
-					hosts[a.host] = true
-				}
+		case host := <-failed:
+			failHost(host)
+		case w := <-targetWatch:
+			targetWatch = nil
+			if w.err != nil {
+				cleanup()
+				return nil, w.err
 			}
-			for host := range hosts {
-				if host == n.id {
-					continue
-				}
-				c, err := n.peerCtrl(ctx, string(host))
-				if err != nil {
-					failHost(host)
-					continue
-				}
-				cctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				_, err = c.Call(cctx, wire.Message{Method: wire.MethodPing})
-				cancel()
-				if err != nil {
-					n.dropPeer(string(host), c)
-					failHost(host)
-				}
+			stopTarget = w.stop
+		case ep := <-rootDone:
+			if ep == epoch[root] { // not a superseded root epoch
+				return finish(), nil
 			}
 		case <-targetDone:
-			used := make([]types.ObjectID, 0, num)
-			for _, a := range assigned {
-				if a != nil {
-					used = append(used, a.src)
-				}
-			}
-			n.cleanupReduce(run, assigned, outOID, root)
-			return used, nil
+			return finish(), nil
 		case <-ctx.Done():
-			n.cleanupReduce(run, assigned, outOID, root)
+			cleanup()
 			return nil, ctx.Err()
+		case <-n.ctx.Done():
+			return nil, types.ErrClosed
 		}
 	}
 }
 
-// cleanupReduce tears a finished or cancelled reduce down off the caller's
-// path: every participant stops its executors, then every non-root slot
-// output is deleted cluster-wide, which drops both the producer's copy and
-// the parent's pulled copy (failHost does the same for a restarted
-// subtree). The root's output is the target, which belongs to the
-// application until Delete.
-func (n *Node) cleanupReduce(run types.ObjectID, assigned []*assignment, outOID []types.ObjectID, root int) {
-	hosts := make(map[types.NodeID]bool)
-	var intermediates []types.ObjectID
-	for s, a := range assigned {
-		if a != nil {
-			hosts[a.host] = true
-			if s != root {
-				intermediates = append(intermediates, outOID[s])
-			}
-		}
+// callReduceStart sends one slot spec to a remote host under the node's
+// control-RPC bound.
+func (n *Node) callReduceStart(host types.NodeID, payload []byte) error {
+	ctx, cancel := n.rpcCtx()
+	defer cancel()
+	c, err := n.peerCtrl(ctx, string(host))
+	if err != nil {
+		return err
 	}
+	resp, err := c.Call(ctx, wire.Message{Method: wire.MethodReduceStart, Payload: payload})
+	if err != nil {
+		n.dropPeer(string(host), c)
+		return err
+	}
+	return resp.ErrorOf()
+}
+
+// cleanupReduce tears a finished or cancelled reduce down off the caller's
+// path: once every spec call is answered, every host that was sent a spec
+// stops its executors, then every non-root slot output is deleted
+// cluster-wide, which drops both the producer's copy and the parent's
+// pulled copy (failHost does the same for a restarted subtree). The root's
+// output is the target, which belongs to the application until Delete.
+func (n *Node) cleanupReduce(run types.ObjectID, hosts map[types.NodeID]bool, intermediates []types.ObjectID, inflight *sync.WaitGroup) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -807,14 +943,22 @@ func (n *Node) cleanupReduce(run types.ObjectID, assigned []*assignment, outOID 
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		// A start still in flight could land after its cancel and leave
+		// an executor nobody stops.
+		inflight.Wait()
 		ctx, cancel := n.rpcCtx()
 		defer cancel()
+		cancelMsg := wire.Message{Method: wire.MethodReduceCancel, Target: run}
 		for host := range hosts {
+			if host == n.id {
+				n.handleReduceCancel(cancelMsg)
+				continue
+			}
 			c, err := n.peerCtrl(ctx, string(host))
 			if err != nil {
 				continue
 			}
-			_, _ = c.Call(ctx, wire.Message{Method: wire.MethodReduceCancel, Target: run})
+			_, _ = c.Call(ctx, cancelMsg)
 		}
 		for _, oid := range intermediates {
 			_ = n.Delete(ctx, oid)

@@ -477,7 +477,6 @@ func (s *Server) Serve() error {
 
 func (s *Server) serveConn(conn net.Conn) {
 	peer := &Peer{conn: conn}
-	peer.b = newBatcher(conn, func(error) { peer.close() })
 	s.mu.Lock()
 	select {
 	case <-s.done:
@@ -486,6 +485,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	default:
 	}
+	// Only a registered peer gets a flusher goroutine: Close stops those.
+	peer.b = newBatcher(conn, func(error) { peer.close() })
 	s.peers[peer] = struct{}{}
 	s.mu.Unlock()
 

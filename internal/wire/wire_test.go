@@ -178,6 +178,25 @@ func TestServerCloseFailsPending(t *testing.T) {
 	}
 }
 
+// TestConnAfterCloseIsDropped hands a closed server a connection, as an
+// accept racing Close does: the server must close it without leaving the
+// connection's write flusher running (the package's leak check fails on
+// one left behind).
+func TestConnAfterCloseIsDropped(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, nil)
+	srv.Close()
+	a, b := net.Pipe()
+	defer b.Close()
+	srv.serveConn(a)
+	if _, err := b.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the server left the connection open")
+	}
+}
+
 func TestPeerOnClose(t *testing.T) {
 	fired := make(chan struct{})
 	h := func(ctx context.Context, m Message, p *Peer) Message {

@@ -3,6 +3,7 @@ package hoplite
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -22,11 +23,23 @@ func storedObjects(c *Cluster) int {
 	return total
 }
 
+// reduceExecutors sums every node's reduce slot executors.
+func reduceExecutors(c *Cluster) int {
+	total := 0
+	for _, n := range c.Nodes() {
+		total += n.ReduceExecutors()
+	}
+	return total
+}
+
 // TestReduceLeavesNoResidue checks that a completed reduce leaves no
-// intermediate object anywhere: once its sources and its target are
-// deleted, every store in the cluster is empty and every lease is back.
-// Each parent slot pulls its children's outputs into its own store; the
-// coordinator must delete those copies along with the producers'.
+// intermediate object and no slot executor anywhere: once its sources and
+// its target are deleted, every store in the cluster is empty and every
+// lease is back. Each parent slot pulls its children's outputs into its
+// own store; the coordinator must delete those copies along with the
+// producers'. A reduce whose ctx is cancelled while its specs are still
+// going out must leave no executor either: a start that lands after the
+// cleanup's cancel would run on with nobody to stop it.
 func TestReduceLeavesNoResidue(t *testing.T) {
 	const nodes = 4
 	const elems = 128 << 10 // 512 KiB of f32: two wire frames per fold
@@ -58,6 +71,7 @@ func TestReduceLeavesNoResidue(t *testing.T) {
 				t.Fatalf("delete %v: %v", oid, err)
 			}
 		}
+		waitCond(t, "every executor to stop", func() bool { return reduceExecutors(c) == 0 })
 		waitCond(t, "every store to empty", func() bool { return storedObjects(c) == 0 })
 		waitLeasesReturned(t, c)
 	}
@@ -65,6 +79,45 @@ func TestReduceLeavesNoResidue(t *testing.T) {
 		t.Run(fmt.Sprintf("degree=%d", d), func(t *testing.T) { run(t, d, false) })
 	}
 	t.Run("allreduce", func(t *testing.T) { run(t, 0, true) })
+	t.Run("cancelled", func(t *testing.T) {
+		ctx := testCtx(t)
+		// Latency keeps the remote specs in flight when the cancel lands.
+		c := startCluster(t, nodes, Options{Emulate: &netem.LinkConfig{Latency: 2 * time.Millisecond}})
+		// The last source is never put: the tree cannot complete, and the
+		// cancel finds every other slot dispatched or on its way.
+		sources := make([]ObjectID, nodes)
+		for i := range sources {
+			sources[i] = RandomObjectID()
+			if i < nodes-1 {
+				putF32(t, ctx, c.Node(i), sources[i], float32(i+1), elems)
+			}
+		}
+		target := RandomObjectID()
+		rctx, cancel := context.WithCancel(ctx)
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Node(0).Reduce(rctx, target, sources, nodes, SumF32)
+			done <- err
+		}()
+		// The coordinator starts its own root slot before any remote one.
+		for c.Node(0).ReduceExecutors() == 0 {
+			runtime.Gosched()
+		}
+		cancel()
+		if err := <-done; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled reduce returned %v, want context.Canceled", err)
+		}
+		waitCond(t, "every executor to stop", func() bool { return reduceExecutors(c) == 0 })
+		// The root's partial output is the target, which the application
+		// deletes.
+		for _, oid := range append(sources[:nodes-1], target) {
+			if err := c.Node(0).Delete(ctx, oid); err != nil {
+				t.Fatalf("delete %v: %v", oid, err)
+			}
+		}
+		waitCond(t, "every store to empty", func() bool { return storedObjects(c) == 0 })
+		waitLeasesReturned(t, c)
+	})
 }
 
 // TestDeleteRacesReadersRecycling deletes a 4 MiB object while a local
