@@ -43,6 +43,7 @@ type Node struct {
 	dir     *directory.Client
 	shard   *directory.Server
 	dataSrv *transport.Server
+	data    *transport.Pool // this node's connections to other nodes' data servers
 	ctrlSrv *wire.Server
 	dataLn  *chanListener
 	ctrlLn  *chanListener
@@ -196,6 +197,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.dataSrv.SetTelemetry(func(peer types.NodeID, bytes int64, d time.Duration) {
 		n.links.ObserveTransfer(peer, bytes, d)
 	})
+	n.data = transport.NewPool(n.dialData)
 	n.ctrlSrv = wire.NewServer(n.ctrlLn, n.handleCtrl)
 
 	n.wg.Add(3)
@@ -854,6 +856,7 @@ func (n *Node) Close() error {
 	n.ln.Close()
 	n.ctrlSrv.Close()
 	n.dataSrv.Close()
+	n.data.Close()
 	n.shard.Close()
 	for _, c := range peers {
 		c.Close()

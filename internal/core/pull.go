@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
-	"hoplite/internal/transport"
 	"hoplite/internal/types"
 )
 
@@ -404,11 +402,10 @@ type peerSource struct {
 }
 
 func (s *peerSource) fetch(ctx context.Context, buf *buffer.Buffer, off, length int64) error {
-	n, addr := s.n, string(s.sender)
-	dial := func(c context.Context) (net.Conn, error) { return n.dialData(c, addr) }
+	n := s.n
 	// The pull's measured rate is a bandwidth sample for the link (a
 	// pipelined source yields the effective path rate planning needs).
-	return transport.PullObserved(ctx, dial, n.id, s.oid, off, length, buf, func(b int64, d time.Duration) {
+	return n.data.Pull(ctx, string(s.sender), n.id, s.oid, off, length, buf, func(b int64, d time.Duration) {
 		n.links.ObserveTransfer(s.sender, b, d)
 	})
 }

@@ -387,13 +387,7 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 		return nil, fmt.Errorf("core: reduce target is the zero ObjectID")
 	}
 
-	updates := make(chan directory.Update, 4096)
-	push := func(u directory.Update) {
-		select {
-		case updates <- u:
-		default: // coordinator re-reads state; dropping is safe
-		}
-	}
+	updates := newUpdateQueue()
 	seen := make(map[types.ObjectID]bool)
 	for _, src := range sources {
 		if seen[src] {
@@ -405,13 +399,13 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 	// watch the same object (a chained reduce's source is another's
 	// target), and ending ours must not end theirs. The initial records
 	// queue in source order, so slots fill as a serial loop would fill them.
-	recs, stop, err := n.watchAll(ctx, sources, push)
+	recs, stop, err := n.watchAll(ctx, sources, updates.push)
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
 	for i, rec := range recs {
-		push(directory.Update{OID: sources[i], Size: rec.Size, Locs: rec.Locs, Inline: rec.Inline})
+		updates.push(directory.Update{OID: sources[i], Size: rec.Size, Locs: rec.Locs, Inline: rec.Inline})
 	}
 
 	// Wait for the first available source to learn the object size, which
@@ -454,8 +448,10 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 	}
 	for size < 0 {
 		select {
-		case u := <-updates:
-			absorb(u)
+		case <-updates.ready:
+			if u, ok := updates.pop(); ok {
+				absorb(u)
+			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -467,6 +463,53 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 		return n.reduceSmall(ctx, target, sources, num, op, size, updates, absorb, srcInline, &readyOrder)
 	}
 	return n.reduceTree(ctx, target, num, op, size, updates, absorb, srcLocs, &readyOrder, inQueue)
+}
+
+// updateQueue carries directory pushes to a reduce's event loop, one
+// update per receive as a channel would, but push never blocks the watch
+// callback and never drops: the queue grows on demand. ready holds a token
+// whenever the queue is non-empty.
+type updateQueue struct {
+	ready chan struct{}
+	mu    sync.Mutex
+	items []directory.Update
+}
+
+func newUpdateQueue() *updateQueue {
+	return &updateQueue{ready: make(chan struct{}, 1)}
+}
+
+func (q *updateQueue) push(u directory.Update) {
+	q.mu.Lock()
+	q.items = append(q.items, u)
+	q.mu.Unlock()
+	q.signal()
+}
+
+func (q *updateQueue) signal() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+}
+
+// pop takes the oldest update after a receive from ready. Updates are
+// absorbed one at a time, each followed by the loop's reaction to it: a
+// source's initial record can queue behind a newer push for the same
+// source, and must not overwrite it before the newer one was acted on.
+func (q *updateQueue) pop() (directory.Update, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) == 0 {
+		return directory.Update{}, false
+	}
+	u := q.items[0]
+	q.items[0] = directory.Update{}
+	q.items = q.items[1:]
+	if len(q.items) > 0 {
+		q.signal()
+	}
+	return u, true
 }
 
 // watchAll watches every oid at once, so n watches cost one round trip,
@@ -512,7 +555,7 @@ func (n *Node) watchAll(ctx context.Context, oids []types.ObjectID, fn func(dire
 
 // reduceSmall gathers the first num small source payloads at the
 // coordinator and publishes the folded result.
-func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources []types.ObjectID, num int, op types.ReduceOp, size int64, updates chan directory.Update, absorb func(directory.Update), inline map[types.ObjectID][]byte, readyOrder *[]types.ObjectID) ([]types.ObjectID, error) {
+func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources []types.ObjectID, num int, op types.ReduceOp, size int64, updates *updateQueue, absorb func(directory.Update), inline map[types.ObjectID][]byte, readyOrder *[]types.ObjectID) ([]types.ObjectID, error) {
 	var used []types.ObjectID
 	acc := make([]byte, size)
 	next := 0
@@ -543,8 +586,10 @@ func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources [
 			break
 		}
 		select {
-		case u := <-updates:
-			absorb(u)
+		case <-updates.ready:
+			if u, ok := updates.pop(); ok {
+				absorb(u)
+			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -565,7 +610,7 @@ func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources [
 // outOID). Everything that waits on the network — spec calls, the target
 // watch, the local root executor — runs beside it and reports back over a
 // channel, so no round trip ever stalls the loop.
-func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, op types.ReduceOp, size int64, updates chan directory.Update, absorb func(directory.Update), srcLocs map[types.ObjectID][]types.Location, readyOrder *[]types.ObjectID, inQueue map[types.ObjectID]bool) ([]types.ObjectID, error) {
+func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, op types.ReduceOp, size int64, updates *updateQueue, absorb func(directory.Update), srcLocs map[types.ObjectID][]types.Location, readyOrder *[]types.ObjectID, inQueue map[types.ObjectID]bool) ([]types.ObjectID, error) {
 	d := n.cfg.ReduceDegree
 	if d <= 0 {
 		// The planner supplies L and B: measured link aggregates once the
@@ -884,9 +929,11 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	// when the target object is complete.
 	for {
 		select {
-		case u := <-updates:
-			absorb(u)
-			tryAssign()
+		case <-updates.ready:
+			if u, ok := updates.pop(); ok {
+				absorb(u)
+				tryAssign()
+			}
 		case host := <-failed:
 			failHost(host)
 		case w := <-targetWatch:

@@ -875,16 +875,23 @@ func (s *Server) checkPromotion(r *replica) {
 		s.mu.Unlock()
 		return
 	}
-	myEpoch, mySeq := r.epoch, r.seq
+	// The group's order ranks the replicas (installMapLocked rewrites it
+	// under s.mu), so every index is read here, with the epoch and seq.
+	myEpoch, mySeq, myIdx := r.epoch, r.seq, r.selfIdx
 	shard := r.shard
-	peers := make([]string, 0, len(r.group)-1)
-	for _, addr := range r.group {
+	type peer struct {
+		addr string
+		idx  int
+	}
+	peers := make([]peer, 0, len(r.group)-1)
+	for i, addr := range r.group {
 		if addr != s.cfg.Self {
-			peers = append(peers, addr)
+			peers = append(peers, peer{addr, i})
 		}
 	}
 	s.mu.Unlock()
-	for _, addr := range peers {
+	for _, p := range peers {
+		addr := p.addr
 		resp, err := s.callReplica(addr, wire.Message{
 			Method: wire.MethodDirHeartbeat,
 			Offset: int64(shard),
@@ -907,7 +914,7 @@ func (s *Server) checkPromotion(r *replica) {
 			s.mu.Unlock()
 			return
 		}
-		if better(resp.Gen, resp.Num, r.indexOf(addr), myEpoch, mySeq, r.selfIdx) {
+		if better(resp.Gen, resp.Num, p.idx, myEpoch, mySeq, myIdx) {
 			// A live, better-synced replica exists: the shard is its to
 			// claim. Give it a lease period to do so.
 			s.mu.Lock()

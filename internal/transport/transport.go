@@ -6,10 +6,13 @@
 // offset and a length: a full pull (length 0) resumes from the receiver's
 // watermark after a sender failure (§3.5.1), while a ranged pull fetches
 // one sub-range of the object, which is how a striped Get drains disjoint
-// ranges from several complete copies at once. Failure detection is socket
-// liveness (§5.5). A pull is served from whatever tier holds the object:
-// an in-memory store buffer (streamed as its watermark advances) or a
-// sealed spill file (streamed off disk via ReadAt, without rehydration).
+// ranges from several complete copies at once. A connection carries
+// successive pulls, one at a time: a receiver's Pool keeps it open after a
+// stream that ended with its EOF frame and hands it to the next pull from
+// the same sender. Failure detection is socket liveness (§5.5). A pull is
+// served from whatever tier holds the object: an in-memory store buffer
+// (streamed as its watermark advances) or a sealed spill file (streamed
+// off disk via ReadAt, without rehydration).
 package transport
 
 import (
@@ -93,6 +96,10 @@ type Stats struct {
 	// RangedPulls counts the subset that requested an explicit sub-range
 	// (a striped Get stripe) rather than offset-to-end.
 	RangedPulls int64
+	// Conns is the number of data connections accepted. A receiver reuses
+	// its connections, so this grows with new sender-receiver pairs and
+	// with broken streams, not with pulls.
+	Conns int64
 }
 
 // PeerStat counts what this sender has served to one receiver. The link
@@ -127,6 +134,7 @@ type Server struct {
 	chunk  int
 	pulls  atomic.Int64
 	ranged atomic.Int64
+	nconns atomic.Int64
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -232,78 +240,103 @@ func (s *Server) Serve() error {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
+		s.nconns.Add(1)
 		go s.serveConn(conn)
 	}
 }
 
-// serveConn handles exactly one pull per connection (Pull dials per
-// transfer). A monitor read detects the receiver's socket dying even
-// while the sender is blocked waiting for its own buffer to fill, so the
-// directory lease is freed promptly (§5.5).
+// request is one decoded pull request.
+type request struct {
+	oid            types.ObjectID
+	offset, length int64
+	receiver       types.NodeID
+}
+
+// serveConn serves successive pulls on one connection until the receiver
+// closes it or a pull ends without its EOF frame, after which the stream
+// is in no known state. A receiver sends nothing while its pull is in
+// flight, so the request reader doubles as the liveness monitor: a read
+// that fails mid-pull cancels the pull, even while the sender is blocked
+// waiting for its own buffer to fill, and reports the receiver so the
+// directory lease is freed promptly (§5.5). A read that fails while the
+// connection is idle just closes it.
 func (s *Server) serveConn(conn net.Conn) {
+	ctx, cancel := context.WithCancel(context.Background())
+	reqs := make(chan request)
+	go readRequests(ctx, cancel, conn, reqs)
 	defer func() {
+		cancel()
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	br := bufio.NewReader(conn)
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	for {
+		var req request
+		select {
+		case req = <-reqs:
+		case <-ctx.Done():
+			return
+		}
+		s.pulls.Add(1)
+		if req.length > 0 {
+			s.ranged.Add(1)
+		}
+		st := &pullState{sched: s.sched}
+		sentEOF, err := s.servePull(ctx, bw, st, req.oid, req.offset, req.length)
+		if err == nil {
+			err = bw.Flush()
+		}
+		s.recordPull(req.receiver, st)
+		if sentEOF && err == nil {
+			continue // the receiver releases the lease itself
+		}
+		// A dead request reader means the receiver's socket died
+		// mid-transfer; report it so the directory lease is freed (§5.5).
+		// Graceful error frames (local buffer failed, receiver alive) do
+		// not count.
+		if ctx.Err() != nil || (err != nil && !errors.Is(err, context.Canceled)) {
+			s.onFail(req.oid, req.receiver)
+		}
+		return
+	}
+}
+
+// readRequests decodes pull requests off conn and hands them to the serving
+// loop until a read fails or the loop is done; either way it cancels ctx.
+func readRequests(ctx context.Context, cancel context.CancelFunc, conn net.Conn, reqs chan<- request) {
+	defer cancel()
+	br := bufio.NewReader(conn)
 	var hdr [1 + types.ObjectIDSize + 8 + 8 + 2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return
-	}
-	if hdr[0] != reqPull {
-		return
-	}
-	var oid types.ObjectID
-	copy(oid[:], hdr[1:1+types.ObjectIDSize])
-	offset := int64(binary.BigEndian.Uint64(hdr[1+types.ObjectIDSize:]))
-	length := int64(binary.BigEndian.Uint64(hdr[1+types.ObjectIDSize+8:]))
-	rlen := int(binary.BigEndian.Uint16(hdr[1+types.ObjectIDSize+16:]))
-	rbuf := make([]byte, rlen)
-	if _, err := io.ReadFull(br, rbuf); err != nil {
-		return
-	}
-	receiver := types.NodeID(rbuf)
-	s.pulls.Add(1)
-	if length > 0 {
-		s.ranged.Add(1)
-	}
-
-	// The client sends nothing after the request; a read completing means
-	// the connection died.
-	closed := make(chan struct{})
-	go func() {
-		var one [1]byte
-		conn.Read(one[:])
-		close(closed)
-		cancel()
-	}()
-
-	st := &pullState{sched: s.sched}
-	sentEOF, err := s.servePull(ctx, bw, st, oid, offset, length)
-	if err == nil {
-		err = bw.Flush()
-	}
-	s.recordPull(receiver, st)
-	if sentEOF && err == nil {
-		return // stream completed; the receiver releases the lease itself
-	}
-	receiverDead := err != nil && !errors.Is(err, context.Canceled)
-	select {
-	case <-closed:
-		receiverDead = true
-	default:
-	}
-	if receiverDead {
-		// The receiver's socket died mid-transfer; report it so the
-		// directory lease is freed (§5.5). Graceful error frames (local
-		// buffer failed, receiver alive) take the other branch.
-		s.onFail(oid, receiver)
+	var name []byte
+	var receiver types.NodeID
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil || hdr[0] != reqPull {
+			return
+		}
+		var req request
+		copy(req.oid[:], hdr[1:1+types.ObjectIDSize])
+		req.offset = int64(binary.BigEndian.Uint64(hdr[1+types.ObjectIDSize:]))
+		req.length = int64(binary.BigEndian.Uint64(hdr[1+types.ObjectIDSize+8:]))
+		rlen := int(binary.BigEndian.Uint16(hdr[1+types.ObjectIDSize+16:]))
+		if cap(name) < rlen {
+			name = make([]byte, rlen)
+		}
+		name = name[:rlen]
+		if _, err := io.ReadFull(br, name); err != nil {
+			return
+		}
+		// A connection serves one receiver, so its name is converted once.
+		if string(name) != string(receiver) {
+			receiver = types.NodeID(name)
+		}
+		req.receiver = receiver
+		select {
+		case reqs <- req:
+		case <-ctx.Done():
+			return
+		}
 	}
 }
 
@@ -483,7 +516,7 @@ func (s *Server) serveFromFile(ctx context.Context, bw *bufio.Writer, st *pullSt
 
 // Stats returns the server's pull counters.
 func (s *Server) Stats() Stats {
-	return Stats{Pulls: s.pulls.Load(), RangedPulls: s.ranged.Load()}
+	return Stats{Pulls: s.pulls.Load(), RangedPulls: s.ranged.Load(), Conns: s.nconns.Load()}
 }
 
 // Close stops the server and closes every data connection.
@@ -542,70 +575,200 @@ func PullRange(ctx context.Context, dial DialFunc, self types.NodeID, oid types.
 	return PullObserved(ctx, dial, self, oid, offset, length, dst, nil)
 }
 
-// PullObserved is the shared receive loop behind Pull (length 0: from the
-// watermark to the end, sealing dst) and PullRange (length > 0), with a
-// transfer Observer (nil is allowed). Arriving chunks are written at their
-// absolute offset, which equals dst's watermark for a full pull and
-// extends a claimed range's fill for a ranged one.
+// PullObserved runs one pull — length 0: from the watermark to the end,
+// sealing dst (Pull); length > 0: one range (PullRange) — on a connection
+// of its own, with a transfer Observer (nil is allowed). Arriving chunks
+// are written at their absolute offset, which equals dst's watermark for a
+// full pull and extends a claimed range's fill for a ranged one.
 func PullObserved(ctx context.Context, dial DialFunc, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, obs Observer) error {
+	if err := checkPull(self, offset, length, dst); err != nil {
+		return err
+	}
+	conn, err := dial(ctx)
+	if err != nil {
+		return fmt.Errorf("transport: dial sender: %w", err)
+	}
+	c := newDataConn(conn)
+	defer c.Close()
+	_, _, err = c.pull(ctx, self, oid, offset, length, dst, obs)
+	return err
+}
+
+// checkPull rejects a pull that could not be requested or could not land
+// in dst, before any connection is touched.
+func checkPull(self types.NodeID, offset, length int64, dst *buffer.Buffer) error {
 	if length == 0 && offset != dst.Watermark() {
 		return fmt.Errorf("transport: pull offset %d != watermark %d", offset, dst.Watermark())
 	}
 	if offset < 0 || length < 0 || offset+length > dst.Size() {
 		return fmt.Errorf("transport: pull range [%d,%d) outside object of %d bytes", offset, offset+length, dst.Size())
 	}
-	conn, err := dial(ctx)
-	if err != nil {
-		return fmt.Errorf("transport: dial sender: %w", err)
-	}
-	defer conn.Close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
-
-	rid := []byte(self)
-	if len(rid) > 65535 {
+	if len(self) > 65535 {
 		return fmt.Errorf("transport: node id too long")
 	}
-	req := make([]byte, 0, 1+types.ObjectIDSize+8+8+2+len(rid))
-	req = append(req, reqPull)
+	return nil
+}
+
+// maxIdlePerSender caps the idle connections a Pool keeps to one sender:
+// enough for a striped Get's and a relay's concurrent pulls from the same
+// node to find one each.
+const maxIdlePerSender = 4
+
+// Pool keeps a receiver's idle data-plane connections per sender address,
+// so successive pulls from one sender skip the dial, the plane handshake
+// and the per-connection buffers on both ends. Pulls never share a
+// connection: each takes one to itself and, only after a stream that
+// ended with its EOF frame at the expected end, gives it back.
+type Pool struct {
+	dial func(ctx context.Context, addr string) (net.Conn, error)
+
+	mu     sync.Mutex
+	idle   map[string][]*dataConn
+	closed bool
+}
+
+// NewPool creates a connection pool that opens connections with dial.
+func NewPool(dial func(ctx context.Context, addr string) (net.Conn, error)) *Pool {
+	return &Pool{dial: dial, idle: make(map[string][]*dataConn)}
+}
+
+// Pull is PullObserved from the sender at addr over a pooled connection.
+// A reused connection that fails before the sender's first response byte
+// was closed by the sender while it sat idle (a restart, say); that says
+// nothing about the sender now, so the pull is retried once on a fresh
+// dial.
+func (p *Pool) Pull(ctx context.Context, addr string, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, obs Observer) error {
+	if err := checkPull(self, offset, length, dst); err != nil {
+		return err
+	}
+	c := p.take(addr)
+	reused := c != nil
+	for {
+		if c == nil {
+			conn, err := p.dial(ctx, addr)
+			if err != nil {
+				return fmt.Errorf("transport: dial sender: %w", err)
+			}
+			c = newDataConn(conn)
+		}
+		idle, answered, err := c.pull(ctx, self, oid, offset, length, dst, obs)
+		if idle {
+			p.put(addr, c)
+		}
+		if err == nil || !reused || answered || ctx.Err() != nil {
+			return err
+		}
+		c, reused = nil, false
+	}
+}
+
+// take pops the most recently used idle connection to addr, if any.
+func (p *Pool) take(addr string) *dataConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cs := p.idle[addr]
+	if len(cs) == 0 {
+		return nil
+	}
+	c := cs[len(cs)-1]
+	cs[len(cs)-1] = nil
+	p.idle[addr] = cs[:len(cs)-1]
+	return c
+}
+
+// put parks an idle connection to addr, or closes it when the pool is
+// closed or already holds its cap for addr.
+func (p *Pool) put(addr string, c *dataConn) {
+	p.mu.Lock()
+	if !p.closed && len(p.idle[addr]) < maxIdlePerSender {
+		p.idle[addr] = append(p.idle[addr], c)
+		c = nil
+	}
+	p.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// Close closes every idle connection; connections in use close when their
+// pull ends.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	p.closed = true
+	idle := p.idle
+	p.idle = make(map[string][]*dataConn)
+	p.mu.Unlock()
+	for _, cs := range idle {
+		for _, c := range cs {
+			c.Close()
+		}
+	}
+}
+
+// dataConn is one receiver-side data connection with the read buffer and
+// request scratch that live as long as it does.
+type dataConn struct {
+	net.Conn
+	br  *bufio.Reader
+	req []byte
+}
+
+func newDataConn(conn net.Conn) *dataConn {
+	return &dataConn{Conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
+}
+
+// pull runs one pull over c: the one receive loop behind both PullObserved
+// and Pool. idle reports that c can carry the next pull — the stream ended
+// with its EOF frame at the expected end and ctx never fired; otherwise c
+// is closed. answered reports whether any response byte arrived.
+func (c *dataConn) pull(ctx context.Context, self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, obs Observer) (idle, answered bool, err error) {
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	answered, err = c.exchange(self, oid, offset, length, dst, obs)
+	if !stop() {
+		return false, answered, err // ctx closed c
+	}
+	if err != nil || c.br.Buffered() > 0 {
+		c.Close()
+		return false, answered, err
+	}
+	return true, answered, nil
+}
+
+// exchange sends one request and reads its response stream into dst.
+func (c *dataConn) exchange(self types.NodeID, oid types.ObjectID, offset, length int64, dst *buffer.Buffer, obs Observer) (answered bool, err error) {
+	req := append(c.req[:0], reqPull)
 	req = append(req, oid[:]...)
 	req = binary.BigEndian.AppendUint64(req, uint64(offset))
 	req = binary.BigEndian.AppendUint64(req, uint64(length))
-	req = binary.BigEndian.AppendUint16(req, uint16(len(rid)))
-	req = append(req, rid...)
-	if _, err := conn.Write(req); err != nil {
-		return fmt.Errorf("transport: send request: %w", err)
+	req = binary.BigEndian.AppendUint16(req, uint16(len(self)))
+	req = append(req, self...)
+	c.req = req
+	if _, err := c.Write(req); err != nil {
+		return false, fmt.Errorf("transport: send request: %w", err)
 	}
 
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := c.br
 	// The first frame is either the size header or an error frame; the
 	// status byte disambiguates, so no length value can be mistaken for
 	// an error sentinel (or vice versa).
 	status, err := br.ReadByte()
 	if err != nil {
-		return fmt.Errorf("transport: read size frame: %w", err)
+		return false, fmt.Errorf("transport: read size frame: %w", err)
 	}
 	switch status {
 	case frameErr:
-		return readErrorFrame(br)
+		return true, readErrorFrame(br)
 	case frameSize:
 	default:
-		return fmt.Errorf("transport: unexpected frame 0x%02x, want size", status)
+		return true, fmt.Errorf("transport: unexpected frame 0x%02x, want size", status)
 	}
 	var szb [8]byte
 	if _, err := io.ReadFull(br, szb[:]); err != nil {
-		return fmt.Errorf("transport: read size: %w", err)
+		return true, fmt.Errorf("transport: read size: %w", err)
 	}
 	size := int64(binary.BigEndian.Uint64(szb[:]))
 	if size != dst.Size() {
-		return fmt.Errorf("transport: size mismatch: sender %d, local %d", size, dst.Size())
+		return true, fmt.Errorf("transport: size mismatch: sender %d, local %d", size, dst.Size())
 	}
 
 	end := size
@@ -626,50 +789,50 @@ func PullObserved(ctx context.Context, dial DialFunc, self types.NodeID, oid typ
 	for {
 		status, err := br.ReadByte()
 		if err != nil {
-			return fmt.Errorf("transport: read frame header: %w", err)
+			return true, fmt.Errorf("transport: read frame header: %w", err)
 		}
 		switch status {
 		case frameEOF:
 			if got != end {
-				return fmt.Errorf("transport: short stream: %d of %d bytes", got-offset, end-offset)
+				return true, fmt.Errorf("transport: short stream: %d of %d bytes", got-offset, end-offset)
 			}
 			if length == 0 {
 				dst.Seal()
 			}
-			return nil
+			return true, nil
 		case frameErr:
-			return readErrorFrame(br)
+			return true, readErrorFrame(br)
 		case frameChunk:
 			var hb [4]byte
 			if _, err := io.ReadFull(br, hb[:]); err != nil {
-				return fmt.Errorf("transport: read chunk header: %w", err)
+				return true, fmt.Errorf("transport: read chunk header: %w", err)
 			}
 			n := binary.BigEndian.Uint32(hb[:])
 			if n > maxChunkSize {
-				return fmt.Errorf("transport: chunk of %d bytes exceeds limit", n)
+				return true, fmt.Errorf("transport: chunk of %d bytes exceeds limit", n)
 			}
 			if n == 0 {
 				// The sender never emits empty chunks; accepting them
 				// would let a misbehaving peer spin the receiver forever
 				// without watermark progress.
-				return errors.New("transport: zero-length chunk")
+				return true, errors.New("transport: zero-length chunk")
 			}
 			if int(n) > len(chunk) {
 				pool.Put(chunk)
 				chunk = pool.Get(int(n))
 			}
 			if _, err := io.ReadFull(br, chunk[:n]); err != nil {
-				return fmt.Errorf("transport: read chunk: %w", err)
+				return true, fmt.Errorf("transport: read chunk: %w", err)
 			}
 			if got+int64(n) > end {
-				return errors.New("transport: sender overran requested range")
+				return true, errors.New("transport: sender overran requested range")
 			}
 			if err := dst.WriteAt(chunk[:n], got); err != nil {
-				return err
+				return true, err
 			}
 			got += int64(n)
 		default:
-			return fmt.Errorf("transport: unexpected frame 0x%02x", status)
+			return true, fmt.Errorf("transport: unexpected frame 0x%02x", status)
 		}
 	}
 }

@@ -36,11 +36,17 @@ type fixture struct {
 
 func startFixture(t *testing.T) *fixture {
 	t.Helper()
+	return startFixtureAt(t, "127.0.0.1:0")
+}
+
+// startFixtureAt serves on addr, so a test can restart a sender in place.
+func startFixtureAt(t *testing.T, addr string) *fixture {
+	t.Helper()
 	f := &fixture{
 		objs:  make(map[types.ObjectID]*buffer.Buffer),
 		files: make(map[types.ObjectID]filePayload),
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
