@@ -27,8 +27,8 @@
 //
 // load -mixed runs a saturating bulk pull stream alongside a cold
 // small-Get loop against one sender and reports both tails — the
-// egress-scheduling fairness demo (compare -sched-classes 1 vs the
-// default 2):
+// egress-scheduling fairness demo (compare the small-Get tail with a
+// -bulk-size 1 run's, the same cold Gets with no load on the uplink):
 //
 //	hoplite-cli -seeds 10.0.0.1:7077 load -mixed -bulk-size 67108864 -duration 10s
 //
@@ -64,7 +64,7 @@ func main() {
 	args := flag.Args()
 	noKey := map[string]bool{"load": true, "status": true}
 	if *seeds == "" || len(args) < 1 || (!noKey[args[0]] && len(args) < 2) {
-		fmt.Fprintln(os.Stderr, "usage: hoplite-cli -seeds HOST:PORT[,...] {put KEY FILE | get KEY FILE | stat KEY | delete KEY | status | join ADDR [storage-only] | drain ADDR | load [-keys N] [-value-size B] [-concurrency C] [-duration D] [-mixed [-bulk-size B] [-sched-classes N]]}")
+		fmt.Fprintln(os.Stderr, "usage: hoplite-cli -seeds HOST:PORT[,...] {put KEY FILE | get KEY FILE | stat KEY | delete KEY | status | join ADDR [storage-only] | drain ADDR | load [-keys N] [-value-size B] [-concurrency C] [-duration D] [-mixed [-bulk-size B]]}")
 		os.Exit(2)
 	}
 	var seedList []string
@@ -302,7 +302,6 @@ func runLoad(newNode nodeFactory, argv []string) error {
 	duration := fs.Duration("duration", 10*time.Second, "measurement duration")
 	mixed := fs.Bool("mixed", false, "mixed workload: a bulk pull stream saturating one sender plus a closed loop of cold small Gets, both tails reported")
 	bulkSize := fs.Int64("bulk-size", 64<<20, "bulk object size in bytes (with -mixed)")
-	schedClasses := fs.Int("sched-classes", 0, "egress scheduler classes on the sender (with -mixed): 0/2 = default fair scheduling, 1 = scheduling off, for comparison")
 	if err := fs.Parse(argv); err != nil {
 		return err
 	}
@@ -317,7 +316,7 @@ func runLoad(newNode nodeFactory, argv []string) error {
 		if !explicit["keys"] {
 			*keys = 4096
 		}
-		return runMixedLoad(newNode, *keys, *valueSize, *concurrency, *duration, *bulkSize, *schedClasses)
+		return runMixedLoad(newNode, *keys, *valueSize, *concurrency, *duration, *bulkSize)
 	}
 
 	node, err := newNode(nil)
@@ -406,14 +405,13 @@ type nodeFactory func(mod func(*hoplite.Config)) (*hoplite.Node, error)
 // objects are served over the data plane); a bulk stream repeatedly pulls
 // a large object from it through fresh getter nodes while -concurrency
 // workers issue cold Gets of small objects from another getter. Both
-// streams contend for the putter's uplink, which is exactly what the
-// sender's weighted-fair egress scheduler arbitrates: with -sched-classes
-// 1 the bulk stream starves the small Gets' tail; with the default 2
-// classes the small p99 stays near its unloaded value.
-func runMixedLoad(newNode nodeFactory, keys, valueSize, concurrency int, duration time.Duration, bulkSize int64, schedClasses int) error {
+// streams contend for the putter's uplink, which the sender's fair-queuing
+// egress scheduler shares per pull: each small Get is a new flow that goes
+// ahead of the bulk stream's next chunk, so the small p99 stays within
+// about a chunk time of its unloaded value.
+func runMixedLoad(newNode nodeFactory, keys, valueSize, concurrency int, duration time.Duration, bulkSize int64) error {
 	putter, err := newNode(func(c *hoplite.Config) {
 		c.InlineThreshold = -1
-		c.SchedClasses = schedClasses
 	})
 	if err != nil {
 		return fmt.Errorf("start putter: %w", err)
@@ -440,8 +438,8 @@ func runMixedLoad(newNode nodeFactory, keys, valueSize, concurrency int, duratio
 			return fmt.Errorf("put %d: %w", i, err)
 		}
 	}
-	fmt.Printf("mixed load: 1 x %d MiB bulk object + %d x %d B small objects; %d small workers for %v (sender sched-classes=%d)\n",
-		bulkSize>>20, keys, valueSize, concurrency, duration, schedClasses)
+	fmt.Printf("mixed load: 1 x %d MiB bulk object + %d x %d B small objects; %d small workers for %v\n",
+		bulkSize>>20, keys, valueSize, concurrency, duration)
 
 	smallGetter, err := newNode(nil)
 	if err != nil {

@@ -56,7 +56,6 @@ func main() {
 	memLimit := flag.Int64("memory-limit", 0, "in-memory store budget in bytes with admission backpressure (0 = unlimited)")
 	spillDir := flag.String("spill-dir", "", "directory for the disk spill tier (empty = spill disabled; requires -memory-limit); rescanned on restart")
 	inline := flag.Int64("inline-threshold", 0, "small-object inline threshold in bytes (default 64 KiB, negative disables)")
-	schedClasses := flag.Int("sched-classes", 0, "egress scheduler classes: 2 (default) isolates latency-sensitive small pulls from bulk transfers, 1 disables scheduling")
 	locality := flag.String("locality", "", "locality domain label for this node (e.g. a rack or DC name); unmeasured links borrow their domain's mean estimate")
 	flag.Parse()
 
@@ -103,7 +102,6 @@ func main() {
 		MemoryLimit:     *memLimit,
 		SpillDir:        *spillDir,
 		InlineThreshold: *inline,
-		SchedClasses:    *schedClasses,
 		Locality:        *locality,
 	})
 	if err != nil {

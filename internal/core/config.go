@@ -120,11 +120,6 @@ type Config struct {
 	// to estimate unmeasured peers from the locality-domain mean.
 	Locality string
 
-	// SchedClasses configures the data-plane egress scheduler: 2 (default)
-	// enables the weighted-fair latency/bulk scheduler so a saturating
-	// striped Get cannot starve a small Get; 1 disables scheduling.
-	SchedClasses int
-
 	// ReduceDegree forces the reduce tree degree: 0 = choose
 	// automatically among {1, 2, n}; otherwise the given d is used
 	// (n-ary when d >= n). Used by the Figure 15 ablation.
@@ -150,9 +145,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.MaxSources < 1 {
 		cfg.MaxSources = 1
-	}
-	if cfg.SchedClasses == 0 {
-		cfg.SchedClasses = 2
 	}
 	return cfg
 }

@@ -193,7 +193,6 @@ func NewNode(cfg Config) (*Node, error) {
 	n.dataLn = newChanListener(ln.Addr())
 	n.ctrlLn = newChanListener(ln.Addr())
 	n.dataSrv = transport.NewServer(n.dataLn, n.serveBuffer, c.ChunkSize, n.onSendFailure)
-	n.dataSrv.ConfigureScheduler(c.SchedClasses)
 	n.dataSrv.SetTelemetry(func(peer types.NodeID, bytes int64, d time.Duration) {
 		n.links.ObserveTransfer(peer, bytes, d)
 	})

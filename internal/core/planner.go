@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -59,19 +60,18 @@ func (p linkPlanner) stripeSpans(senders []types.NodeID, base int64) []int64 {
 	}
 	mean := sum / float64(len(senders))
 	for i := range spans {
-		factor := 1.0
+		// A whole number of grid chunks, rounded to the nearest: ClaimNext
+		// rounds a span up to whole chunks, so a sender 1% above the mean
+		// would claim two and could straggle a chunk time behind the
+		// others. Rounding down instead would snap a 2x sender to one chunk
+		// as soon as its estimate decays a hair toward the prior. Never
+		// below one chunk (a slow sender still claims whole chunks;
+		// stealing keeps it busy) and never above the cap.
+		factor := int64(1)
 		if mean > 0 {
-			factor = bw[i] / mean
+			factor = int64(math.Round(bw[i] / mean))
 		}
-		// Never below the grid chunk (a slow sender still claims whole
-		// chunks; stealing keeps it busy) and never above the cap.
-		if factor < 1 {
-			factor = 1
-		}
-		if factor > maxSpanFactor {
-			factor = maxSpanFactor
-		}
-		spans[i] = int64(float64(base) * factor)
+		spans[i] = base * min(max(factor, 1), maxSpanFactor)
 	}
 	return spans
 }

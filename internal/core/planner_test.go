@@ -79,6 +79,27 @@ func TestLinkPlannerStripeSpanCap(t *testing.T) {
 	}
 }
 
+// Spans are whole grid chunks, rounded to the nearest. A sender measured a
+// few percent above the mean must not get a fractional span: ClaimNext
+// rounds spans up to whole chunks, so 1.02 chunks would claim two and leave
+// that sender a chunk behind the others. A sender just under 2x the mean
+// (a 2x link whose estimate has decayed a little) still claims two.
+func TestLinkPlannerStripeSpansWholeChunks(t *testing.T) {
+	const base = 1 << 20
+	for _, tc := range []struct {
+		bw   map[types.NodeID]float64
+		want []int64
+	}{
+		{map[types.NodeID]float64{"a": 66 << 20, "b": 64 << 20, "c": 64 << 20}, []int64{base, base, base}},
+		{map[types.NodeID]float64{"a": 190 << 20, "b": 50 << 20, "c": 60 << 20}, []int64{2 * base, base, base}},
+	} {
+		p := seededPlanner(200*time.Microsecond, 100<<20, tc.bw)
+		if got := p.stripeSpans([]types.NodeID{"a", "b", "c"}, base); !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("stripeSpans(%v) = %v, want %v", tc.bw, got, tc.want)
+		}
+	}
+}
+
 // With nothing measured the link planner must treat all links as equal:
 // arrival order, one grid chunk per claim, the priors, the lowest free slot.
 func TestLinkPlannerColdIsEqualLinks(t *testing.T) {

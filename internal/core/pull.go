@@ -287,9 +287,8 @@ func (n *Node) runRound(pl *pullPlan, srcs []source, spans []int64) error {
 // its unwritten chunks back to the ledger, so the round's survivors, or
 // the next round, re-fetch exactly the missing ranges. A span of 0 marks a
 // round of one, which claims everything missing; there a claim from the
-// watermark to the end goes out as a full pull, which keeps objects under
-// the transport's bulk cutoff in the sender's latency class and ranged
-// pulls to striped rounds.
+// watermark to the end goes out as a full pull, sealed by the sender's EOF
+// frame, so ranged pulls are left to striped rounds.
 func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 	buf := pl.buf
 	solo := span == 0

@@ -1,121 +1,113 @@
-// Egress scheduling: a weighted-fair, two-class byte scheduler over the
-// concurrent pulls sharing one node's uplink. Without it, a saturating
-// striped Get fills the egress path (and, under emulation, the token
-// bucket's debt) so deep that a latency-sensitive small Get queued behind
-// it waits for every in-flight bulk chunk. With it, chunk sends of the
-// latency class and the bulk class alternate under a byte-deficit
-// round-robin: each class may lead the other by at most one quantum of
-// granted bytes, so a small pull transmits after at most roughly one bulk
-// chunk already on the wire.
+// Egress scheduling: start-time fair queuing over the concurrent pulls
+// sharing one node's uplink. Each pull is a flow. Without a scheduler, a
+// saturating striped Get fills the egress path (and, under emulation, the
+// token bucket's debt) so deep that a small Get queued behind it waits for
+// every in-flight bulk chunk. With it, contended chunk sends go out one at
+// a time, lowest flow tag first, and each flushes inside its turn, so the
+// backlog a newcomer lands behind is about one chunk.
 //
-// The scheduler engages under cross-class contention, and bulk sends also
-// serialize among themselves whenever several bulk streams are active:
-// concurrent bulk writers would otherwise each keep a chunk queued in the
-// shared egress path, so the standing backlog a small pull lands behind
-// grows with the stream count instead of staying at ~one chunk. A
-// single-stream workload — the common case, and every throughput benchmark
-// — takes a fast path that grants bytes without serializing writers, so
-// enabling the scheduler costs nothing until there is actual contention.
+// A flow's tag is the virtual start of its next send; vtime is the tag of
+// the send last admitted. A flow that becomes active — a new pull, or one
+// back from idling below vtime — starts at vtime, tied with the current
+// round of backlogged flows, and wins the tie, so a small Get goes ahead
+// of that round instead of behind it. Small transfers get low latency
+// without a size classifier. Backlogged flows tie in arrival order, so
+// they alternate chunk by chunk.
+//
+// With at most one flow registered and no contended send in flight — every
+// single-stream workload — a send takes a fast path that neither
+// serialises nor flushes: one mutex round per chunk.
 package transport
 
 import (
+	"slices"
 	"sync"
 )
 
-// Scheduling classes. Latency-sensitive pulls (small full-object fetches)
-// must not queue behind bulk traffic (striped ranged pulls, large
-// transfers).
-const (
-	classLatency = 0
-	classBulk    = 1
-)
-
-const (
-	// bulkCutoff: a full pull of at least this many bytes is scheduled as
-	// bulk; ranged (striped) pulls are always bulk.
-	bulkCutoff = 1 << 20
-	// frameOverhead is the per-chunk frame header size counted against a
-	// class's granted bytes.
-	frameOverhead = 5
-)
-
-// egress is the two-class deficit scheduler. All bookkeeping is under one
-// mutex; the guarded sections only mutate counters (no I/O).
-type egress struct {
-	quantum int64
-	mu      sync.Mutex
-	cond    *sync.Cond
-	// busy marks a contended-mode chunk send in flight: contended sends
-	// serialize so a small chunk waits behind at most one bulk chunk of
-	// wire (and shaper-debt) backlog, not an unbounded pipeline of them.
-	busy bool
-	// granted counts bytes granted per class; the deficit gate keeps the
-	// two within one quantum of each other while both classes wait.
-	granted [2]int64
-	// users counts pulls currently registered per class (enter/exit);
-	// pending counts sends blocked in the gate right now.
-	users   [2]int
-	pending [2]int
+// flow is one pull's scheduling state, held by value in its pullState.
+type flow struct {
+	tag int64
+	// fresh marks a flow that became active since its last admitted send.
+	fresh bool
 }
 
-func newEgress(quantum int64) *egress {
-	e := &egress{quantum: quantum}
+// egress is the fair-queuing gate. All bookkeeping is under one mutex; the
+// guarded sections only mutate counters (no I/O).
+type egress struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	// flows counts registered pulls (enter/exit); waiting holds the sends
+	// parked in the gate, in arrival order.
+	flows   int
+	waiting []*flow
+	// busy marks a contended send in flight.
+	busy  bool
+	vtime int64
+}
+
+func newEgress() *egress {
+	e := &egress{}
 	e.cond = sync.NewCond(&e.mu)
 	return e
 }
 
-// enter registers a pull of the given class for its lifetime. A class
-// activating from idle is rebased to at most one quantum behind the other
-// class, so credit banked while it was idle (a bulk stream that ran alone
-// for gigabytes) cannot stall the other class — or itself — afterwards.
-func (e *egress) enter(class int) {
+// enter registers f for its pull's lifetime, starting it at vtime.
+func (e *egress) enter(f *flow) {
 	e.mu.Lock()
-	if e.users[class] == 0 {
-		if g := e.granted[1-class] - e.quantum; g > e.granted[class] {
-			e.granted[class] = g
+	f.tag, f.fresh = e.vtime, true
+	e.flows++
+	e.mu.Unlock()
+}
+
+// exit deregisters a flow registered with enter. Parked sends wait on the
+// gate, not on the flow count, so there is no one to wake.
+func (e *egress) exit() {
+	e.mu.Lock()
+	e.flows--
+	e.mu.Unlock()
+}
+
+// next returns the waiting flow with the lowest tag; on a tie a fresh flow
+// first, then the earliest arrival. Some flow always passes, so the gate
+// cannot deadlock.
+func (e *egress) next() *flow {
+	best := e.waiting[0]
+	for _, f := range e.waiting[1:] {
+		if f.tag < best.tag || (f.tag == best.tag && f.fresh && !best.fresh) {
+			best = f
 		}
 	}
-	e.users[class]++
-	e.mu.Unlock()
+	return best
 }
 
-// exit deregisters a pull registered with enter.
-func (e *egress) exit(class int) {
-	e.mu.Lock()
-	e.users[class]--
-	e.mu.Unlock()
-	e.cond.Broadcast()
+// admit starts f's send of n bytes at its tag.
+func (e *egress) admit(f *flow, n int64) {
+	e.vtime = f.tag
+	f.tag += n
+	f.fresh = false
 }
 
-// send grants n bytes to class and runs fn to perform the write. When the
-// other class is inactive the grant is free and fn runs concurrently with
-// other senders (fast path). When both classes are active, sends serialize
-// and the deficit gate bounds how far one class's granted bytes may run
-// ahead of the other's; fn then receives contended=true so the caller
-// flushes within its turn (bounding shaper debt to ~one chunk).
-//
-// Deadlock-freedom: the gate compares granted[class]+n against
-// granted[other]+quantum, and the constructor guarantees quantum >= any n,
-// so at least one class always passes.
-func (e *egress) send(class int, n int64, fn func(contended bool) error) error {
+// send charges n bytes to f and runs fn to perform the write. fn receives
+// contended=true when the send was serialised behind other flows, so the
+// caller flushes within its turn (bounding shaper debt to ~one chunk).
+func (e *egress) send(f *flow, n int64, fn func(contended bool) error) error {
 	e.mu.Lock()
-	other := 1 - class
-	// Fast path: no cross-class contention, and (for bulk) no sibling bulk
-	// streams whose queued chunks would deepen the shared egress backlog.
-	// Latency-class sends never serialize among themselves: their chunks
-	// are small and parallel small pulls should not queue on each other.
-	solo := class == classLatency || e.users[class] <= 1
-	if !e.busy && e.users[other] == 0 && e.pending[other] == 0 && solo {
-		e.granted[class] += n
+	// Credit banked while idle does not carry over.
+	if f.tag < e.vtime {
+		f.tag, f.fresh = e.vtime, true
+	}
+	if e.flows <= 1 && !e.busy && len(e.waiting) == 0 {
+		e.admit(f, n)
 		e.mu.Unlock()
 		return fn(false)
 	}
-	e.pending[class]++
-	for e.busy || (e.pending[other] > 0 && e.granted[class]+n > e.granted[other]+e.quantum) {
+	e.waiting = append(e.waiting, f)
+	for e.busy || e.next() != f {
 		e.cond.Wait()
 	}
-	e.pending[class]--
-	e.granted[class] += n
+	i := slices.Index(e.waiting, f)
+	e.waiting = slices.Delete(e.waiting, i, i+1)
+	e.admit(f, n)
 	e.busy = true
 	e.mu.Unlock()
 	err := fn(true)

@@ -1,27 +1,28 @@
 package transport
 
 import (
-	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// Single-class traffic must take the fast path: no serialization, no
-// contended flushes, regardless of how many senders share the class.
-func TestEgressSingleClassFastPath(t *testing.T) {
-	e := newEgress(1 << 10)
-	e.enter(classBulk)
-	defer e.exit(classBulk)
+// One flow, however many goroutines drive it, must take the fast path: no
+// serialisation, no contended flushes.
+func TestEgressOneFlowFastPath(t *testing.T) {
+	e := newEgress()
+	var f flow
+	e.enter(&f)
+	defer e.exit()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				err := e.send(classBulk, 512, func(contended bool) error {
+				err := e.send(&f, 512, func(contended bool) error {
 					if contended {
-						t.Error("single-class send took the contended path")
+						t.Error("a lone flow took the contended path")
 					}
 					return nil
 				})
@@ -32,163 +33,212 @@ func TestEgressSingleClassFastPath(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := e.granted[classBulk]; got != 8*100*512 {
-		t.Fatalf("granted %d, want %d", got, 8*100*512)
+	if f.tag != 8*100*512 {
+		t.Fatalf("tag %d, want %d", f.tag, 8*100*512)
 	}
 }
 
-// With both classes active, a small send queued behind an in-flight bulk
-// chunk must go out before the next bulk chunk: the deficit gate holds
-// bulk back once it leads by more than a quantum while latency has a
-// pending send.
-func TestEgressSmallSendPreemptsNextBulkChunk(t *testing.T) {
-	e := newEgress(100)
-	e.enter(classLatency)
-	e.enter(classBulk)
-	defer e.exit(classLatency)
-	defer e.exit(classBulk)
+// sendOrder records the order in which contended sends run.
+type sendOrder struct {
+	mu    sync.Mutex
+	names []string
+}
 
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var order []string
-	record := func(name string) func(bool) error {
-		return func(bool) error {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			return nil
+func (o *sendOrder) record(name string) func(bool) error {
+	return func(bool) error {
+		o.mu.Lock()
+		o.names = append(o.names, name)
+		o.mu.Unlock()
+		return nil
+	}
+}
+
+func (o *sendOrder) len() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.names)
+}
+
+func (o *sendOrder) check(t *testing.T, want ...string) {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if len(o.names) != len(want) {
+		t.Fatalf("order %v, want %v", o.names, want)
+	}
+	for i := range want {
+		if o.names[i] != want[i] {
+			t.Fatalf("order %v, want %v", o.names, want)
 		}
 	}
+}
 
-	var wg sync.WaitGroup
-	wg.Add(3)
+// holdSend starts a send of f that blocks inside fn, holding the gate,
+// until release is closed; it returns once the send has been admitted.
+func holdSend(t *testing.T, e *egress, f *flow, n int64, rec func(bool) error, release <-chan struct{}, wg *sync.WaitGroup) {
+	t.Helper()
+	var in atomic.Bool
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.send(classBulk, 80, func(bool) error {
-			record("bulk1")(false)
-			<-release // hold the busy token: the other sends must queue
+		e.send(f, n, func(c bool) error {
+			rec(c)
+			in.Store(true)
+			<-release
 			return nil
 		})
 	}()
-	// Wait until bulk1 is inside its send before queueing the others.
-	waitFor(t, func() bool {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.busy
-	})
-	go func() {
-		defer wg.Done()
-		e.send(classBulk, 80, record("bulk2"))
-	}()
-	go func() {
-		defer wg.Done()
-		e.send(classLatency, 10, record("small"))
-	}()
-	// Both followers must be parked in the gate before bulk1 finishes,
-	// otherwise the wake order is not the one under test.
-	waitFor(t, func() bool {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.pending[classBulk] == 1 && e.pending[classLatency] == 1
-	})
-	close(release)
-	wg.Wait()
-
-	want := []string{"bulk1", "small", "bulk2"}
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
+	waitFor(t, in.Load)
 }
 
-// A class that ran alone banks granted bytes; when the other class
-// activates it must be rebased to at most one quantum behind, or the
-// newcomer would transmit unopposed for the whole banked amount.
-func TestEgressEnterRebasesIdleClass(t *testing.T) {
-	e := newEgress(100)
-	e.enter(classBulk)
+// parkSend starts a send of f and returns once it waits in the gate.
+func parkSend(t *testing.T, e *egress, f *flow, n int64, rec func(bool) error, wg *sync.WaitGroup) {
+	t.Helper()
+	before := parked(e)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.send(f, n, rec)
+	}()
+	waitFor(t, func() bool { return parked(e) == before+1 })
+}
+
+// parked counts the sends waiting in the gate.
+func parked(e *egress) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.waiting)
+}
+
+// A small send from a pull that has just become active, parked behind an
+// in-flight bulk chunk, must go out before the next chunk of each
+// backlogged flow: it joins their round and wins the tie.
+func TestEgressSmallSendPreemptsNextBulkChunk(t *testing.T) {
+	e := newEgress()
+	var a, b, c flow
+	e.enter(&a)
+	e.enter(&b)
+	var o sendOrder
+	var wg sync.WaitGroup
+	// One round each, so both flows are backlogged at the same tag.
+	e.send(&a, 100, o.record("a1"))
+	e.send(&b, 100, o.record("b1"))
+
+	release := make(chan struct{})
+	holdSend(t, e, &a, 100, o.record("a2"), release, &wg)
+	parkSend(t, e, &b, 100, o.record("b2"), &wg)
+	parkSend(t, e, &a, 100, o.record("a3"), &wg)
+	e.enter(&c)
+	parkSend(t, e, &c, 10, o.record("c1"), &wg)
+	close(release)
+	wg.Wait()
+	o.check(t, "a1", "b1", "a2", "c1", "b2", "a3")
+	e.exit()
+	e.exit()
+	e.exit()
+}
+
+// Two backlogged flows take turns chunk by chunk. Each flow re-arrives
+// while the other's chunk is in flight, the way a pull's serving loop does.
+func TestEgressBackloggedFlowsAlternate(t *testing.T) {
+	e := newEgress()
+	var a, b flow
+	e.enter(&a)
+	e.enter(&b)
+	defer e.exit()
+	defer e.exit()
+	const rounds = 3
+	var o sendOrder
+	var wg sync.WaitGroup
+	run := func(f *flow, name string) {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			e.send(f, 100, func(c bool) error {
+				o.record(name)(c)
+				// Hold the turn until the other flow is parked, so every
+				// re-arrival meets a waiting flow at its own tag.
+				if o.len() < 2*rounds {
+					for deadline := time.Now().Add(5 * time.Second); parked(e) == 0 && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
+				}
+				return nil
+			})
+		}
+	}
+	wg.Add(2)
+	go run(&a, "A")
+	waitFor(t, func() bool { return o.len() == 1 })
+	go run(&b, "B")
+	wg.Wait()
+	o.check(t, "A", "B", "A", "B", "A", "B")
+}
+
+// A flow that ran alone banks no credit against a newcomer: the newcomer's
+// first send waits for at most the one send already in flight, and the
+// old flow is not pushed back by more than one send either.
+func TestEgressIdleCreditDoesNotCarryOver(t *testing.T) {
+	e := newEgress()
+	var old, newcomer flow
+	e.enter(&old)
+	defer e.exit()
 	for i := 0; i < 10; i++ {
-		if err := e.send(classBulk, 1000, func(bool) error { return nil }); err != nil {
+		if err := e.send(&old, 1000, func(bool) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.enter(classLatency)
-	e.mu.Lock()
-	gb, gl := e.granted[classBulk], e.granted[classLatency]
-	e.mu.Unlock()
-	if gb != 10000 {
-		t.Fatalf("bulk granted %d, want 10000", gb)
+	e.enter(&newcomer)
+	defer e.exit()
+	if lead := old.tag - newcomer.tag; lead < 0 || lead > 1000 {
+		t.Fatalf("old flow leads the newcomer by %d bytes, want at most one send (1000)", lead)
 	}
-	if gl != gb-100 {
-		t.Fatalf("latency rebased to %d, want %d", gl, gb-100)
-	}
-	e.exit(classLatency)
-	e.exit(classBulk)
+	var o sendOrder
+	var wg sync.WaitGroup
+	release := make(chan struct{})
+	holdSend(t, e, &old, 1000, o.record("old1"), release, &wg)
+	parkSend(t, e, &old, 1000, o.record("old2"), &wg)
+	parkSend(t, e, &newcomer, 10, o.record("new"), &wg)
+	close(release)
+	wg.Wait()
+	o.check(t, "old1", "new", "old2")
 }
 
-// Hammer both classes concurrently; every send must complete (no deadlock)
-// and the contended-mode serialization must never admit two fns at once.
+// Hammer 16 flows of mixed send sizes concurrently: every send completes
+// (no deadlock), and the contended path never admits two sends at once.
 func TestEgressConcurrentMixNoDeadlock(t *testing.T) {
-	e := newEgress(64 << 10)
-	var inFn sync.Map
+	e := newEgress()
+	var inFn atomic.Int32
 	var wg sync.WaitGroup
 	done := make(chan struct{})
-	for class := 0; class < 2; class++ {
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(class int) {
-				defer wg.Done()
-				e.enter(class)
-				defer e.exit(class)
-				for i := 0; i < 200; i++ {
-					n := int64(1 + (i*7919)%(32<<10))
-					err := e.send(class, n, func(contended bool) error {
-						if contended {
-							if _, loaded := inFn.LoadOrStore("busy", true); loaded {
-								t.Error("two contended sends in flight at once")
-							}
-							inFn.Delete("busy")
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var f flow
+			e.enter(&f)
+			defer e.exit()
+			for i := 0; i < 200; i++ {
+				n := int64(1 + (i*7919+g*104729)%(32<<10))
+				err := e.send(&f, n, func(contended bool) error {
+					if contended {
+						if inFn.Add(1) != 1 {
+							t.Error("two contended sends in flight at once")
 						}
-						return nil
-					})
-					if err != nil {
-						t.Error(err)
+						inFn.Add(-1)
 					}
+					return nil
+				})
+				if err != nil {
+					t.Error(err)
 				}
-			}(class)
-		}
+			}
+		}(g)
 	}
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("egress scheduler deadlocked")
-	}
-}
-
-// ConfigureScheduler must size the quantum to one chunk frame: a quantum
-// smaller than a single send would wedge the deficit gate.
-func TestConfigureSchedulerQuantumIsOneChunkFrame(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	s := NewServer(ln, nil, 8<<10, nil)
-	s.ConfigureScheduler(2)
-	if s.sched == nil {
-		t.Fatal("scheduler not installed")
-	}
-	if want := int64(8<<10 + frameOverhead); s.sched.quantum != want {
-		t.Fatalf("quantum %d, want %d", s.sched.quantum, want)
-	}
-	s.ConfigureScheduler(1)
-	if s.sched != nil {
-		t.Fatal("classes=1 must remove the scheduler")
 	}
 }
 

@@ -117,11 +117,10 @@ type PeerStat struct {
 // not masquerade as a slow link). The link-state tracker hangs off this.
 type TelemetryFunc func(peer types.NodeID, bytes int64, d time.Duration)
 
-// pullState carries one pull's scheduling class and telemetry counters
-// through the send path.
+// pullState carries one pull's egress flow and telemetry counters through
+// the send path.
 type pullState struct {
-	sched   *egress
-	class   int
+	flow    flow
 	bytes   int64
 	sendDur time.Duration
 }
@@ -138,10 +137,7 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-
-	// sched is set by ConfigureScheduler before Serve; nil means pulls
-	// write directly (single-class behavior).
-	sched *egress
+	sched  *egress
 
 	peerMu    sync.Mutex
 	peers     map[types.NodeID]PeerStat
@@ -163,22 +159,9 @@ func NewServer(ln net.Listener, get Getter, chunkSize int, onFail SendFailFunc) 
 	return &Server{
 		ln: ln, get: get, onFail: onFail, chunk: chunkSize,
 		conns: make(map[net.Conn]struct{}),
+		sched: newEgress(),
 		peers: make(map[types.NodeID]PeerStat),
 	}
-}
-
-// ConfigureScheduler installs (classes >= 2) or removes (classes <= 1) the
-// weighted-fair egress scheduler. The byte-deficit one class may lead the
-// other by is one chunk frame — the smallest quantum that keeps the deficit
-// gate deadlock-free, and so the tightest isolation. A full pull of at
-// least bulkCutoff bytes is classed as bulk (ranged pulls always are).
-// Call before Serve.
-func (s *Server) ConfigureScheduler(classes int) {
-	if classes <= 1 {
-		s.sched = nil
-		return
-	}
-	s.sched = newEgress(int64(s.chunk) + frameOverhead)
 }
 
 // SetTelemetry installs the per-pull observer called after each pull with
@@ -272,6 +255,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	bw := bufio.NewWriterSize(conn, 64<<10)
+	// The egress gate parks a pointer to a pull's flow, which puts its
+	// pullState on the heap: allocate it once per connection, not per pull.
+	st := new(pullState)
 	for {
 		var req request
 		select {
@@ -283,7 +269,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if req.length > 0 {
 			s.ranged.Add(1)
 		}
-		st := &pullState{sched: s.sched}
+		*st = pullState{}
 		sentEOF, err := s.servePull(ctx, bw, st, req.oid, req.offset, req.length)
 		if err == nil {
 			err = bw.Flush()
@@ -390,15 +376,8 @@ func (s *Server) servePull(ctx context.Context, bw *bufio.Writer, st *pullState,
 	if length > 0 {
 		end = offset + length
 	}
-	// Classify for the egress scheduler: striped (ranged) pulls and large
-	// full pulls are bulk; small full pulls are latency-sensitive.
-	if length > 0 || end-offset >= bulkCutoff {
-		st.class = classBulk
-	}
-	if st.sched != nil {
-		st.sched.enter(st.class)
-		defer st.sched.exit(st.class)
-	}
+	s.sched.enter(&st.flow)
+	defer s.sched.exit()
 	// Size frame first so the receiver can allocate (always the full
 	// object size, not the range length).
 	var szb [9]byte
@@ -422,11 +401,11 @@ func (s *Server) servePull(ctx context.Context, bw *bufio.Writer, st *pullState,
 	return true, nil
 }
 
-// sendChunk frames and writes one data chunk, going through the egress
-// scheduler when one is installed. Contended sends flush inside their
-// grant so at most ~one chunk of this class sits unflushed when the other
-// class gets its turn. The time spent here (scheduler wait plus the write
-// itself) accrues to the pull's telemetry; watermark waits do not.
+// sendChunk frames and writes one data chunk through the egress scheduler.
+// Contended sends flush inside their turn so at most ~one chunk of this
+// pull sits unflushed when the next flow gets its turn. The time spent here
+// (scheduler wait plus the write itself) accrues to the pull's telemetry;
+// watermark waits do not.
 func (s *Server) sendChunk(st *pullState, bw *bufio.Writer, p []byte) error {
 	write := func(flush bool) error {
 		if err := writeFrameHeader(bw, frameChunk, uint32(len(p))); err != nil {
@@ -441,12 +420,7 @@ func (s *Server) sendChunk(st *pullState, bw *bufio.Writer, p []byte) error {
 		return nil
 	}
 	start := time.Now()
-	var err error
-	if st.sched != nil {
-		err = st.sched.send(st.class, int64(len(p))+frameOverhead, write)
-	} else {
-		err = write(false)
-	}
+	err := s.sched.send(&st.flow, int64(len(p)), write)
 	st.sendDur += time.Since(start)
 	if err == nil {
 		st.bytes += int64(len(p))

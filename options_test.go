@@ -37,7 +37,7 @@ func TestNodeConfigCarriesEveryNodeField(t *testing.T) {
 			t.Fatalf("Config.%s: kind %v not handled by this test", name, f.Kind())
 		}
 	}
-	if len(knobs) < 9 {
+	if len(knobs) < 8 {
 		t.Fatalf("only %d node knobs found (%v)", len(knobs), knobs)
 	}
 
