@@ -77,6 +77,14 @@ type Buffer struct {
 	// eviction, and a retired buffer keeps its array until refs is 0, so a
 	// pinned read-only view is never invalidated under its reader.
 	refs int
+	// lent counts open writer lends (Fill, Append, WriteAt): ranges of
+	// the array a writer is filling without the lock. Unlike refs a lend
+	// does not pin the buffer against eviction, but the array is not
+	// recycled while one is open.
+	lent int
+	// resets counts Reset calls; a lend that a Reset overtook publishes
+	// nothing.
+	resets uint64
 	// pooled marks an array taken from internal/pool; escaped marks one
 	// handed out without a pin (it stays with the garbage collector); and
 	// retired marks a buffer its owner has dropped.
@@ -217,76 +225,113 @@ func (b *Buffer) advanceLocked() {
 	b.watermark = wm
 }
 
-// writeLocked copies p at off and updates the ledger. Callers have
-// validated bounds; each touched chunk's contiguous fill must be extended
-// exactly (writer discipline, enforced by panic as a bug check).
-func (b *Buffer) writeLocked(p []byte, off int64) {
-	pos, rem := off, p
-	for len(rem) > 0 {
+// extendLocked is the writer discipline, checked in one place for every
+// writer: [off, off+n) must lie inside the object, start exactly at its
+// chunk's fill position and leave every later chunk it touches empty.
+// Violations panic (writer bugs, not runtime conditions). With commit it
+// then advances the ledger over the range, whose bytes are in the array.
+func (b *Buffer) extendLocked(off, n int64, commit bool) {
+	if b.sealed {
+		panic("buffer: write to sealed buffer")
+	}
+	if off < 0 || n < 0 || off+n > b.size {
+		panic("buffer: write past end of object")
+	}
+	for pos, end := off, off+n; pos < end; {
 		ci := int(pos / b.chunk)
 		cs := int64(ci) * b.chunk
 		if pos-cs != b.fill[ci] {
 			panic("buffer: write does not extend chunk fill")
 		}
-		n := cs + b.chunkLen(ci) - pos
-		if n > int64(len(rem)) {
-			n = int64(len(rem))
+		step := min(cs+b.chunkLen(ci), end) - pos
+		if commit {
+			b.fill[ci] += step
 		}
-		copy(b.data[pos:], rem[:n])
-		b.fill[ci] += n
-		pos += n
-		rem = rem[n:]
+		pos += step
 	}
-	b.present += int64(len(p))
-	b.advanceLocked()
-	b.signalLocked()
+	if commit {
+		b.present += n
+		b.advanceLocked()
+		b.signalLocked()
+	}
 }
 
-// Append writes p at the current watermark. It returns types.ErrAborted if
-// the buffer failed, and panics if the write would exceed the object size
-// or the buffer is already sealed (writer bugs, not runtime conditions).
-func (b *Buffer) Append(p []byte) error {
-	if len(p) == 0 {
-		return nil
-	}
+// lend opens a writer lend of [off, off+n): the buffer must not have
+// failed, and the range must pass the writer discipline. While any lend is
+// open the array is not recycled, so a Retire racing the writer defers
+// recycling to the lend's end.
+func (b *Buffer) lend(off, n int64) (p []byte, resets uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.err != nil {
+		return nil, 0, b.err
+	}
+	b.extendLocked(off, n, false)
+	b.lent++
+	return b.data[off : off+n : off+n], b.resets, nil
+}
+
+// endLend closes a lend and publishes its range if the writer succeeded
+// (werr nil), the buffer has not failed since, and no Reset overtook the
+// lend; otherwise nothing is published. The last lend of a retired buffer
+// recycles its array.
+func (b *Buffer) endLend(off, n int64, resets uint64, werr error) error {
+	var arr []byte
+	defer func() {
+		if arr != nil {
+			recycle(arr)
+		}
+	}()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.lent--
+	arr = b.takeArrayLocked()
+	switch {
+	case werr != nil:
+		return werr
+	case b.err != nil:
 		return b.err
+	case b.resets != resets:
+		return fmt.Errorf("buffer: fill overtaken by reset: %w", types.ErrAborted)
 	}
-	if b.sealed {
-		panic("buffer: append to sealed buffer")
-	}
-	if b.watermark+int64(len(p)) > b.size {
-		panic("buffer: append past end of object")
-	}
-	b.writeLocked(p, b.watermark)
+	b.extendLocked(off, n, true)
 	return nil
 }
 
-// WriteAt writes p at off, for writers filling a claimed range. Writers
-// stream sequentially within their range, so off must sit exactly at the
-// fill position of its chunk and any further chunks covered by p must be
-// empty; violations panic (writer bugs). Concurrent WriteAt calls on
-// disjoint claimed ranges are safe. It returns the buffer's error if it
-// has failed.
+// Fill lends a writer the backing range [off, off+n) of the payload array:
+// fn writes the range's bytes into p without the buffer lock held, and
+// Fill then publishes the range (advancing the ledger and waking readers)
+// only if fn returned nil, the buffer has not failed, and no Reset ran
+// meanwhile. Otherwise nothing is published, so the range can be filled
+// again, and Fill returns fn's error or the buffer's. A failed buffer
+// returns its error without calling fn. Writers stream sequentially within
+// their range, so off must sit exactly at the fill position of its chunk
+// and any further chunks the range covers must be empty; violations panic
+// (writer bugs). Concurrent Fills on disjoint claimed ranges are safe.
+func (b *Buffer) Fill(off, n int64, fn func(p []byte) error) error {
+	if n == 0 {
+		return nil
+	}
+	p, resets, err := b.lend(off, n)
+	if err != nil {
+		return err
+	}
+	return b.endLend(off, n, resets, fn(p))
+}
+
+// WriteAt writes p at off, for writers filling a claimed range: a Fill
+// that copies p.
 func (b *Buffer) WriteAt(p []byte, off int64) error {
-	if len(p) == 0 {
+	return b.Fill(off, int64(len(p)), func(dst []byte) error {
+		copy(dst, p)
 		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.err != nil {
-		return b.err
-	}
-	if b.sealed {
-		panic("buffer: write to sealed buffer")
-	}
-	if off < 0 || off+int64(len(p)) > b.size {
-		panic("buffer: write past end of object")
-	}
-	b.writeLocked(p, off)
-	return nil
+	})
+}
+
+// Append writes p at the current watermark: a WriteAt for the single
+// writer of a whole object.
+func (b *Buffer) Append(p []byte) error {
+	return b.WriteAt(p, b.Watermark())
 }
 
 // ClaimNext claims the next run of missing, unclaimed bytes for an
@@ -481,10 +526,10 @@ func (b *Buffer) Escape() {
 }
 
 // takeArrayLocked detaches the array of a retired, unpinned, pooled buffer
-// for recycling; it returns nil in every other case, so an array is handed
-// back at most once.
+// with no open writer lend for recycling; it returns nil in every other
+// case, so an array is handed back at most once.
 func (b *Buffer) takeArrayLocked() []byte {
-	if !b.retired || b.refs > 0 || !b.pooled || b.escaped {
+	if !b.retired || b.refs > 0 || b.lent > 0 || !b.pooled || b.escaped {
 		return nil
 	}
 	arr := b.data
@@ -559,6 +604,7 @@ func (b *Buffer) Reset(offset int64) {
 	b.wmChunk = 0
 	b.advanceLocked()
 	b.present = offset
+	b.resets++
 	b.sealed = false
 	b.err = nil
 	b.signalLocked()

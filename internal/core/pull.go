@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -429,11 +430,27 @@ type spillSource struct {
 	oid types.ObjectID
 }
 
-// fetch streams the file through the watermark so readers pipeline off the
-// restore. A restore is one round of one on a fresh buffer, so its only
-// claim is the whole object.
-func (s spillSource) fetch(_ context.Context, buf *buffer.Buffer, _, _ int64) error {
-	return s.n.spill.ReadInto(s.oid, int(buf.ChunkSize()), buf.Append)
+// fetch reads the file straight into the ledger a chunk at a time, so
+// readers pipeline off the restore. A restore is one round of one on a
+// fresh buffer, so its only claim is the whole object.
+func (s spillSource) fetch(_ context.Context, buf *buffer.Buffer, off, _ int64) error {
+	f, _, err := s.n.spill.Open(s.oid)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	for ; off < buf.Size(); off += buf.ChunkSize() {
+		err := buf.Fill(off, min(buf.ChunkSize(), buf.Size()-off), func(p []byte) error {
+			if m, err := f.ReadAt(p, off); err != nil && !(err == io.EOF && m == len(p)) {
+				return fmt.Errorf("core: read spilled %v at %d: %w", s.oid, off, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (s spillSource) done(o outcome) {

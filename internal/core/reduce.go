@@ -9,7 +9,6 @@ import (
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
-	"hoplite/internal/pool"
 	"hoplite/internal/types"
 	"hoplite/internal/wire"
 )
@@ -228,9 +227,9 @@ func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 }
 
 // runReduceSlot streams this slot's reduction one wire frame (ChunkSize
-// bytes, element-aligned) at a time: it copies its own object's run, folds
-// in each child subtree's run as soon as the child's watermark passes it,
-// and appends the result to the slot output — so a hop forwards a frame
+// bytes, element-aligned) at a time: once its own object and each child
+// subtree's watermark pass a run, it copies its own run into the slot
+// output and folds each child's run into it there — so a hop forwards a frame
 // while the next is still in flight, and a chain of n hops costs n frame
 // times plus one object time (fine-grained pipelining, §3.3).
 func (n *Node) runReduceSlot(e *reduceExec) {
@@ -305,8 +304,6 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 	if es := int64(spec.Op.DType.Size()); es > 0 {
 		block = max(block-block%es, es)
 	}
-	scratch := pool.Get(int(block))
-	defer pool.Put(scratch)
 	waitRange := func(b *buffer.Buffer, end int64) error {
 		wm, _, err := b.WaitAt(ctx, end-1)
 		if err != nil {
@@ -318,16 +315,11 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 		return nil
 	}
 	for off := int64(0); off < spec.Size; off += block {
-		end := off + block
-		if end > spec.Size {
-			end = spec.Size
-		}
+		end := min(off+block, spec.Size)
 		if err := waitRange(own, end); err != nil {
 			fail(err)
 			return
 		}
-		blk := scratch[:end-off]
-		copy(blk, own.Bytes()[off:end])
 		for i := range spec.Children {
 			if children[i] == nil {
 				select {
@@ -349,12 +341,21 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 				fail(err)
 				return
 			}
-			if err := spec.Op.Accumulate(blk, children[i].Bytes()[off:end]); err != nil {
-				fail(err)
-				return
-			}
 		}
-		if err := out.Append(blk); err != nil {
+		// Fold in place: the run lands in the output's own array, so a
+		// leaf copies its source once and an inner slot folds each child
+		// straight into that copy.
+		err := out.Fill(off, end-off, func(p []byte) error {
+			copy(p, own.Bytes()[off:end])
+			for _, c := range children {
+				if err := spec.Op.Accumulate(p, c.Bytes()[off:end]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			fail(err)
 			return
 		}
 	}

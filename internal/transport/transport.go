@@ -536,7 +536,7 @@ func Pull(ctx context.Context, dial DialFunc, self types.NodeID, oid types.Objec
 }
 
 // PullRange streams exactly [offset, offset+length) of oid from the
-// sender into dst via dst.WriteAt, filling the chunk ledger without
+// sender into dst via dst.Fill, filling the chunk ledger without
 // touching bytes outside the range. The caller owns the range (typically
 // via dst.ClaimNext) and seals dst itself once every range is present. On
 // failure dst keeps whatever prefix of the range arrived; the caller
@@ -758,8 +758,6 @@ func (c *dataConn) exchange(self types.NodeID, oid types.ObjectID, offset, lengt
 			}
 		}()
 	}
-	chunk := pool.Get(DefaultChunkSize)
-	defer func() { pool.Put(chunk) }()
 	for {
 		status, err := br.ReadByte()
 		if err != nil {
@@ -791,17 +789,18 @@ func (c *dataConn) exchange(self types.NodeID, oid types.ObjectID, offset, lengt
 				// without watermark progress.
 				return true, errors.New("transport: zero-length chunk")
 			}
-			if int(n) > len(chunk) {
-				pool.Put(chunk)
-				chunk = pool.Get(int(n))
-			}
-			if _, err := io.ReadFull(br, chunk[:n]); err != nil {
-				return true, fmt.Errorf("transport: read chunk: %w", err)
-			}
 			if got+int64(n) > end {
 				return true, errors.New("transport: sender overran requested range")
 			}
-			if err := dst.WriteAt(chunk[:n], got); err != nil {
+			// The body goes from the read buffer straight into the
+			// ledger; an interrupted read publishes none of it.
+			err := dst.Fill(got, int64(n), func(p []byte) error {
+				if _, err := io.ReadFull(br, p); err != nil {
+					return fmt.Errorf("transport: read chunk: %w", err)
+				}
+				return nil
+			})
+			if err != nil {
 				return true, err
 			}
 			got += int64(n)

@@ -109,84 +109,132 @@ func (op ReduceOp) Accumulate(dst, src []byte) error {
 	if len(dst)%es != 0 {
 		return fmt.Errorf("types: buffer length %d not a multiple of element size %d", len(dst), es)
 	}
-	switch op.DType {
-	case F32:
-		accumulateF32(op.Kind, dst, src)
-	case F64:
-		accumulateF64(op.Kind, dst, src)
-	case I32:
-		accumulateI32(op.Kind, dst, src)
-	case I64:
-		accumulateI64(op.Kind, dst, src)
+	// Whole groups of four elements fold in place; a shorter tail folds
+	// through one zero-padded group whose padding is dropped.
+	full := len(dst) - len(dst)%(4*es)
+	op.fold4(dst[:full], src[:full])
+	if full < len(dst) {
+		var x, y [32]byte
+		n := copy(x[:], dst[full:])
+		copy(y[:], src[full:])
+		op.fold4(x[:4*es], y[:4*es])
+		copy(dst[full:], x[:n])
 	}
 	return nil
 }
 
-func accumulateF32(kind OpKind, dst, src []byte) {
-	for i := 0; i+4 <= len(dst); i += 4 {
-		a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
-		b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-		var r float32
-		switch kind {
-		case Sum:
-			r = a + b
-		case Min:
-			r = min(a, b)
-		case Max:
-			r = max(a, b)
-		}
-		binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(r))
-	}
-}
+func ldF32(b []byte) float32    { return math.Float32frombits(binary.LittleEndian.Uint32(b)) }
+func stF32(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
+func ldF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+func stF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+func ldI32(b []byte) int32      { return int32(binary.LittleEndian.Uint32(b)) }
+func stI32(b []byte, v int32)   { binary.LittleEndian.PutUint32(b, uint32(v)) }
+func ldI64(b []byte) int64      { return int64(binary.LittleEndian.Uint64(b)) }
+func stI64(b []byte, v int64)   { binary.LittleEndian.PutUint64(b, uint64(v)) }
 
-func accumulateF64(kind OpKind, dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-		b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-		var r float64
-		switch kind {
-		case Sum:
-			r = a + b
-		case Min:
-			r = min(a, b)
-		case Max:
-			r = max(a, b)
+// fold4 is the kernel behind Accumulate; len(d) is a multiple of four
+// elements. The op is dispatched once per call, and each loop folds four
+// elements per iteration over fixed-size sub-slices, so bounds are
+// checked once per group rather than once per element.
+func (op ReduceOp) fold4(d, s []byte) {
+	s = s[:len(d)]
+	switch op {
+	case ReduceOp{Sum, F32}:
+		for i := 0; i+16 <= len(d); i += 16 {
+			x, y := d[i:i+16:i+16], s[i:i+16:i+16]
+			stF32(x[0:], ldF32(x[0:])+ldF32(y[0:]))
+			stF32(x[4:], ldF32(x[4:])+ldF32(y[4:]))
+			stF32(x[8:], ldF32(x[8:])+ldF32(y[8:]))
+			stF32(x[12:], ldF32(x[12:])+ldF32(y[12:]))
 		}
-		binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(r))
-	}
-}
-
-func accumulateI32(kind OpKind, dst, src []byte) {
-	for i := 0; i+4 <= len(dst); i += 4 {
-		a := int32(binary.LittleEndian.Uint32(dst[i:]))
-		b := int32(binary.LittleEndian.Uint32(src[i:]))
-		var r int32
-		switch kind {
-		case Sum:
-			r = a + b
-		case Min:
-			r = min(a, b)
-		case Max:
-			r = max(a, b)
+	case ReduceOp{Min, F32}:
+		for i := 0; i+16 <= len(d); i += 16 {
+			x, y := d[i:i+16:i+16], s[i:i+16:i+16]
+			stF32(x[0:], min(ldF32(x[0:]), ldF32(y[0:])))
+			stF32(x[4:], min(ldF32(x[4:]), ldF32(y[4:])))
+			stF32(x[8:], min(ldF32(x[8:]), ldF32(y[8:])))
+			stF32(x[12:], min(ldF32(x[12:]), ldF32(y[12:])))
 		}
-		binary.LittleEndian.PutUint32(dst[i:], uint32(r))
-	}
-}
-
-func accumulateI64(kind OpKind, dst, src []byte) {
-	for i := 0; i+8 <= len(dst); i += 8 {
-		a := int64(binary.LittleEndian.Uint64(dst[i:]))
-		b := int64(binary.LittleEndian.Uint64(src[i:]))
-		var r int64
-		switch kind {
-		case Sum:
-			r = a + b
-		case Min:
-			r = min(a, b)
-		case Max:
-			r = max(a, b)
+	case ReduceOp{Max, F32}:
+		for i := 0; i+16 <= len(d); i += 16 {
+			x, y := d[i:i+16:i+16], s[i:i+16:i+16]
+			stF32(x[0:], max(ldF32(x[0:]), ldF32(y[0:])))
+			stF32(x[4:], max(ldF32(x[4:]), ldF32(y[4:])))
+			stF32(x[8:], max(ldF32(x[8:]), ldF32(y[8:])))
+			stF32(x[12:], max(ldF32(x[12:]), ldF32(y[12:])))
 		}
-		binary.LittleEndian.PutUint64(dst[i:], uint64(r))
+	case ReduceOp{Sum, F64}:
+		for i := 0; i+32 <= len(d); i += 32 {
+			x, y := d[i:i+32:i+32], s[i:i+32:i+32]
+			stF64(x[0:], ldF64(x[0:])+ldF64(y[0:]))
+			stF64(x[8:], ldF64(x[8:])+ldF64(y[8:]))
+			stF64(x[16:], ldF64(x[16:])+ldF64(y[16:]))
+			stF64(x[24:], ldF64(x[24:])+ldF64(y[24:]))
+		}
+	case ReduceOp{Min, F64}:
+		for i := 0; i+32 <= len(d); i += 32 {
+			x, y := d[i:i+32:i+32], s[i:i+32:i+32]
+			stF64(x[0:], min(ldF64(x[0:]), ldF64(y[0:])))
+			stF64(x[8:], min(ldF64(x[8:]), ldF64(y[8:])))
+			stF64(x[16:], min(ldF64(x[16:]), ldF64(y[16:])))
+			stF64(x[24:], min(ldF64(x[24:]), ldF64(y[24:])))
+		}
+	case ReduceOp{Max, F64}:
+		for i := 0; i+32 <= len(d); i += 32 {
+			x, y := d[i:i+32:i+32], s[i:i+32:i+32]
+			stF64(x[0:], max(ldF64(x[0:]), ldF64(y[0:])))
+			stF64(x[8:], max(ldF64(x[8:]), ldF64(y[8:])))
+			stF64(x[16:], max(ldF64(x[16:]), ldF64(y[16:])))
+			stF64(x[24:], max(ldF64(x[24:]), ldF64(y[24:])))
+		}
+	case ReduceOp{Sum, I32}:
+		for i := 0; i+16 <= len(d); i += 16 {
+			x, y := d[i:i+16:i+16], s[i:i+16:i+16]
+			stI32(x[0:], ldI32(x[0:])+ldI32(y[0:]))
+			stI32(x[4:], ldI32(x[4:])+ldI32(y[4:]))
+			stI32(x[8:], ldI32(x[8:])+ldI32(y[8:]))
+			stI32(x[12:], ldI32(x[12:])+ldI32(y[12:]))
+		}
+	case ReduceOp{Min, I32}:
+		for i := 0; i+16 <= len(d); i += 16 {
+			x, y := d[i:i+16:i+16], s[i:i+16:i+16]
+			stI32(x[0:], min(ldI32(x[0:]), ldI32(y[0:])))
+			stI32(x[4:], min(ldI32(x[4:]), ldI32(y[4:])))
+			stI32(x[8:], min(ldI32(x[8:]), ldI32(y[8:])))
+			stI32(x[12:], min(ldI32(x[12:]), ldI32(y[12:])))
+		}
+	case ReduceOp{Max, I32}:
+		for i := 0; i+16 <= len(d); i += 16 {
+			x, y := d[i:i+16:i+16], s[i:i+16:i+16]
+			stI32(x[0:], max(ldI32(x[0:]), ldI32(y[0:])))
+			stI32(x[4:], max(ldI32(x[4:]), ldI32(y[4:])))
+			stI32(x[8:], max(ldI32(x[8:]), ldI32(y[8:])))
+			stI32(x[12:], max(ldI32(x[12:]), ldI32(y[12:])))
+		}
+	case ReduceOp{Sum, I64}:
+		for i := 0; i+32 <= len(d); i += 32 {
+			x, y := d[i:i+32:i+32], s[i:i+32:i+32]
+			stI64(x[0:], ldI64(x[0:])+ldI64(y[0:]))
+			stI64(x[8:], ldI64(x[8:])+ldI64(y[8:]))
+			stI64(x[16:], ldI64(x[16:])+ldI64(y[16:]))
+			stI64(x[24:], ldI64(x[24:])+ldI64(y[24:]))
+		}
+	case ReduceOp{Min, I64}:
+		for i := 0; i+32 <= len(d); i += 32 {
+			x, y := d[i:i+32:i+32], s[i:i+32:i+32]
+			stI64(x[0:], min(ldI64(x[0:]), ldI64(y[0:])))
+			stI64(x[8:], min(ldI64(x[8:]), ldI64(y[8:])))
+			stI64(x[16:], min(ldI64(x[16:]), ldI64(y[16:])))
+			stI64(x[24:], min(ldI64(x[24:]), ldI64(y[24:])))
+		}
+	case ReduceOp{Max, I64}:
+		for i := 0; i+32 <= len(d); i += 32 {
+			x, y := d[i:i+32:i+32], s[i:i+32:i+32]
+			stI64(x[0:], max(ldI64(x[0:]), ldI64(y[0:])))
+			stI64(x[8:], max(ldI64(x[8:]), ldI64(y[8:])))
+			stI64(x[16:], max(ldI64(x[16:]), ldI64(y[16:])))
+			stI64(x[24:], max(ldI64(x[24:]), ldI64(y[24:])))
+		}
 	}
 }
 
