@@ -680,13 +680,23 @@ func (n *Node) applyMap(cm types.ClusterMap) {
 	n.links.SetLocality(cm.Localities())
 	n.shard.InstallMap(cm)
 	if startDrain {
-		n.mu.Lock()
-		if !n.closed {
-			n.wg.Add(1)
-			go func() { defer n.wg.Done(); n.drainMonitor() }()
-		}
-		n.mu.Unlock()
+		n.detach(n.drainMonitor)
 	}
+}
+
+// detach runs fn on a node goroutine, off the caller's path. A closing
+// node skips it: its teardown ends whatever fn would.
+func (n *Node) detach(fn func()) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		fn()
+	}()
 }
 
 // Drain retires this node gracefully: mark it draining in the cluster
@@ -755,8 +765,15 @@ func (n *Node) drainComplete() bool {
 }
 
 // onSendFailure clears a dead receiver's directory lease after the data
-// plane saw its socket break (§5.5).
+// plane saw its socket break (§5.5). A reduce intermediate has no lease:
+// its parent's death reaches the coordinator over the control plane.
 func (n *Node) onSendFailure(oid types.ObjectID, receiver types.NodeID) {
+	n.mu.Lock()
+	intermediate := n.intermediateLocked(oid) != nil
+	n.mu.Unlock()
+	if intermediate {
+		return
+	}
 	ctx, cancel := context.WithTimeout(n.ctx, 5*time.Second)
 	defer cancel()
 	_ = n.dir.AbortDownstream(ctx, oid, receiver)
@@ -786,19 +803,29 @@ func (n *Node) signalStoreChange() {
 	n.mu.Unlock()
 }
 
-// serveBuffer resolves pull requests against the local store, falling
-// back to the spill tier: a demoted object is served straight off its
-// chunk-aligned disk file (full or ranged pulls alike) without being
-// rehydrated into memory. A freshly leased receiver may be asked for the
-// object a moment before its local buffer exists (its Acquire response is
-// still in flight), so absence waits briefly for creation — unless this
-// node saw the object deleted moments ago and is not fetching it back: a
-// receiver leased before the deletion then hears "deleted" at once. A
-// buffer is served under a pin, dropped when the pull is done, so a
-// Delete racing the pull cannot recycle the array mid-send.
+// serveBuffer resolves pull requests against reduce intermediates and the
+// local store, falling back to the spill tier: a demoted object is served
+// straight off its chunk-aligned disk file (full or ranged pulls alike)
+// without being rehydrated into memory. A freshly leased receiver (or a
+// reduce parent) may ask for the object a moment before it exists here,
+// so absence waits briefly for creation — unless this node saw the object
+// deleted moments ago and is not fetching it back: a receiver leased
+// before the deletion then hears "deleted" at once. A buffer is served
+// under a pin, dropped when the pull is done, so a Delete racing the pull
+// cannot recycle the array mid-send.
 func (n *Node) serveBuffer(ctx context.Context, oid types.ObjectID) (transport.Payload, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
+		// Every lookup follows the capture of ch, so a creation between
+		// them still wakes the wait below.
+		n.mu.Lock()
+		ch := n.storeChange
+		out := n.intermediateLocked(oid)
+		pinned := out != nil && out.TryRef()
+		n.mu.Unlock()
+		if pinned {
+			return transport.Payload{Buf: out, Release: out.Unref}, nil
+		}
 		if buf, ok := n.store.Acquire(oid); ok {
 			return transport.Payload{Buf: buf, Release: buf.Unref}, nil
 		}
@@ -808,7 +835,6 @@ func (n *Node) serveBuffer(ctx context.Context, oid types.ObjectID) (transport.P
 			}
 		}
 		n.mu.Lock()
-		ch := n.storeChange
 		_, pulling := n.pulls[oid]
 		n.mu.Unlock()
 		if !pulling && n.tombstonedSince(oid, time.Now().Add(-deleteGrace)) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"hoplite/internal/buffer"
 	"hoplite/internal/directory"
@@ -14,10 +15,10 @@ import (
 )
 
 // reduceSpec tells a participant node to run one slot of a reduce tree
-// (§3.4.2). The slot's intermediate output is an ordinary directory object
-// named (ReduceID, Slot, Epoch), which its parent pulls through the normal
-// data plane — this is what lets reduce outputs stream into downstream
-// broadcasts and chained reduces while still partial (§3.3).
+// (§3.4.2). The root's output is the target, which streams into broadcasts
+// and chained reduces while still partial (§3.3). Any other slot's output
+// is private to its run: its executor holds it, out of the store and the
+// directory, and its parent alone pulls it, straight from the child's host.
 type reduceSpec struct {
 	// ReduceID names one run of a reduce, fresh per Reduce call: it keys
 	// the participants' executors and seeds the intermediates' names, so
@@ -28,9 +29,7 @@ type reduceSpec struct {
 	Epoch    int64
 	OwnOID   types.ObjectID // the source object this slot folds in
 	// OutputOID names this slot's output: the true target for the root,
-	// an ephemeral coordinator-chosen object otherwise. The coordinator
-	// pins ephemeral IDs onto the target's directory shard so that a
-	// participant's death never takes reduce metadata down with it.
+	// intermediateOID(ReduceID, Slot, Epoch) otherwise.
 	OutputOID types.ObjectID
 	Children  []childRef
 	IsRoot    bool
@@ -39,20 +38,15 @@ type reduceSpec struct {
 }
 
 type childRef struct {
-	Slot int
 	OID  types.ObjectID // the child slot's current OutputOID
+	Host types.NodeID   // the node running the child slot
 }
 
-// pinToShard derives an ObjectID for (run, slot, epoch) that lands on the
-// same directory shard as the target object.
-func pinToShard(target, run types.ObjectID, slot int, epoch int64, shards int) types.ObjectID {
-	want := target.Shard(shards)
-	for nonce := int64(0); ; nonce++ {
-		oid := run.Derive("reduce-slot", int64(slot)<<20|nonce, epoch)
-		if oid.Shard(shards) == want {
-			return oid
-		}
-	}
+// intermediateOID names a non-root slot's output for one epoch of one run,
+// so a restarted slot's output never shares a name with the one it
+// replaces, nor with any other run's.
+func intermediateOID(run types.ObjectID, slot int, epoch int64) types.ObjectID {
+	return run.Derive("reduce-slot", int64(slot), epoch)
 }
 
 // The spec travels in a wire.Message payload using the same fixed-layout
@@ -62,14 +56,19 @@ func pinToShard(target, run types.ObjectID, slot int, epoch int64, shards int) t
 //	[20] reduce id      [20] own oid      [20] output oid
 //	u32  slot           u64  epoch        u64  size
 //	u8   is-root        u8   op kind      u8   op dtype
-//	u32  children count + count × (u32 slot + [20] oid)
-const specFixedSize = 3*types.ObjectIDSize + 4 + 8 + 8 + 3 + 4
+//	u32  children count + count × ([20] oid + u16 host length + host)
+const (
+	specFixedSize = 3*types.ObjectIDSize + 4 + 8 + 8 + 3 + 4
+	childMinSize  = types.ObjectIDSize + 2
+)
+
+var errSpecChildren = errors.New("core: reduce spec children length mismatch")
 
 func encodeSpec(s *reduceSpec) ([]byte, error) {
 	if s.Slot < 0 || int64(uint32(s.Slot)) != int64(s.Slot) {
 		return nil, fmt.Errorf("core: reduce slot %d out of range", s.Slot)
 	}
-	b := make([]byte, 0, specFixedSize+len(s.Children)*(4+types.ObjectIDSize))
+	b := make([]byte, 0, specFixedSize+len(s.Children)*childMinSize)
 	b = append(b, s.ReduceID[:]...)
 	b = append(b, s.OwnOID[:]...)
 	b = append(b, s.OutputOID[:]...)
@@ -83,11 +82,12 @@ func encodeSpec(s *reduceSpec) ([]byte, error) {
 	b = append(b, root, byte(s.Op.Kind), byte(s.Op.DType))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Children)))
 	for _, c := range s.Children {
-		if c.Slot < 0 || int64(uint32(c.Slot)) != int64(c.Slot) {
-			return nil, fmt.Errorf("core: child slot %d out of range", c.Slot)
+		if len(c.Host) > 0xFFFF {
+			return nil, fmt.Errorf("core: child host of %d bytes too long", len(c.Host))
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(c.Slot))
 		b = append(b, c.OID[:]...)
+		b = binary.BigEndian.AppendUint16(b, uint16(len(c.Host)))
+		b = append(b, c.Host...)
 	}
 	return b, nil
 }
@@ -111,21 +111,28 @@ func decodeSpec(p []byte) (*reduceSpec, error) {
 	s.Op.Kind = types.OpKind(p[off+1])
 	s.Op.DType = types.DType(p[off+2])
 	off += 3
-	n := int(binary.BigEndian.Uint32(p[off:]))
-	off += 4
-	// Divide rather than multiply: n is attacker-controlled and the
-	// product could overflow int on 32-bit platforms.
-	const childSize = 4 + types.ObjectIDSize
-	if n < 0 || (len(p)-off)%childSize != 0 || n != (len(p)-off)/childSize {
-		return nil, fmt.Errorf("core: reduce spec children length mismatch")
+	// n is attacker-controlled: bound it by the bytes left before
+	// allocating for it.
+	n := binary.BigEndian.Uint32(p[off:])
+	if off += 4; uint64(n) > uint64((len(p)-off)/childMinSize) {
+		return nil, errSpecChildren
 	}
-	if n > 0 {
-		s.Children = make([]childRef, n)
-		for i := range s.Children {
-			s.Children[i].Slot = int(binary.BigEndian.Uint32(p[off:]))
-			off += 4
-			off += copy(s.Children[i].OID[:], p[off:])
+	s.Children = make([]childRef, n)
+	for i := range s.Children {
+		c := &s.Children[i]
+		if len(p)-off < childMinSize {
+			return nil, errSpecChildren
 		}
+		copy(c.OID[:], p[off:])
+		hl := int(binary.BigEndian.Uint16(p[off+types.ObjectIDSize:]))
+		if off += childMinSize; len(p)-off < hl {
+			return nil, errSpecChildren
+		}
+		c.Host = types.NodeID(p[off : off+hl])
+		off += hl
+	}
+	if off != len(p) {
+		return nil, errSpecChildren
 	}
 	return &s, nil
 }
@@ -136,6 +143,9 @@ type reduceExec struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
+	// out is a non-root slot's output, served from here to the parent and
+	// retired with the executor (nil for the root: the target is stored).
+	out *buffer.Buffer
 	// completed is set before done closes when the executor sealed its
 	// output and registered it complete in the directory.
 	completed bool
@@ -160,26 +170,29 @@ func (n *Node) handleReduceStart(m wire.Message) wire.Message {
 // (§3.5.2, Figure 5b).
 func (n *Node) startReduceSlot(spec *reduceSpec) (*reduceExec, error) {
 	key := execKey{reduceID: spec.ReduceID, slot: spec.Slot}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, types.ErrClosed
-	}
-	old := n.execs[key]
-	if old != nil && old.spec.Epoch >= spec.Epoch {
-		n.mu.Unlock()
-		return nil, nil // stale or duplicate start
-	}
 	ctx, cancel := context.WithCancel(n.ctx)
 	e := &reduceExec{spec: spec, ctx: ctx, cancel: cancel, done: make(chan struct{})}
+	if !spec.IsRoot {
+		e.out = buffer.New(spec.Size)
+	}
+	n.mu.Lock()
+	old, closed := n.execs[key], n.closed
+	if closed || (old != nil && old.spec.Epoch >= spec.Epoch) {
+		n.mu.Unlock()
+		e.retire()
+		if closed {
+			return nil, types.ErrClosed
+		}
+		return nil, nil // stale or duplicate start
+	}
 	n.execs[key] = e
 	n.mu.Unlock()
+	// Wake a parent's pull parked on this output before it existed.
+	n.signalStoreChange()
 	if old != nil {
 		old.cancel()
 	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
+	n.detach(func() {
 		defer close(e.done)
 		if old != nil {
 			// Wait out the superseded executor (off the node lock) before
@@ -192,12 +205,34 @@ func (n *Node) startReduceSlot(spec *reduceSpec) (*reduceExec, error) {
 			case <-n.ctx.Done():
 				return
 			}
-			// Drop the superseded epoch's local output so readers abort.
-			n.store.Delete(old.spec.OutputOID)
+			// Drop the superseded epoch's output so its readers abort.
+			if old.out == nil {
+				n.store.Delete(old.spec.OutputOID)
+			}
+			old.retire()
 		}
 		n.runReduceSlot(e)
-	}()
+	})
 	return e, nil
+}
+
+// retire cancels the executor and drops its private output; a serve
+// still streaming it keeps the array until its pin drops.
+func (e *reduceExec) retire() {
+	e.cancel()
+	if e.out != nil {
+		e.out.Retire()
+	}
+}
+
+// intermediateLocked returns this node's non-root slot output oid, or nil.
+func (n *Node) intermediateLocked(oid types.ObjectID) *buffer.Buffer {
+	for _, e := range n.execs {
+		if e.out != nil && e.spec.OutputOID == oid {
+			return e.out
+		}
+	}
+	return nil
 }
 
 // ReduceExecutors reports how many reduce slot executors this node holds
@@ -208,8 +243,9 @@ func (n *Node) ReduceExecutors() int {
 	return len(n.execs)
 }
 
-// handleReduceCancel stops every executor of a reduce. The coordinator
-// deletes the intermediate outputs cluster-wide itself (cleanupReduce).
+// handleReduceCancel stops every executor of a reduce and drops their
+// intermediate outputs; the root's output is the target, which belongs to
+// the application.
 func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 	n.mu.Lock()
 	var victims []*reduceExec
@@ -221,125 +257,89 @@ func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 	}
 	n.mu.Unlock()
 	for _, e := range victims {
-		e.cancel()
+		e.retire()
 	}
 	return wire.Message{}
 }
 
-// runReduceSlot streams this slot's reduction one wire frame (ChunkSize
+// runReduceSlot runs one slot to its end: the root creates and registers
+// the target, any other slot fills the private output it was started
+// with, and a fold that fails fails the output, so its reader stops too.
+func (n *Node) runReduceSlot(e *reduceExec) {
+	spec, out := e.spec, e.out
+	if spec.IsRoot {
+		var err error
+		out, err = n.store.Create(spec.OutputOID, spec.Size, true)
+		if errors.Is(err, types.ErrExists) {
+			// Residue from a canceled epoch; replace it.
+			n.store.Delete(spec.OutputOID)
+			out, err = n.store.Create(spec.OutputOID, spec.Size, true)
+		}
+		if err != nil {
+			return
+		}
+		n.signalStoreChange()
+		if err := n.dir.PutStarted(e.ctx, spec.OutputOID, spec.Size); err != nil {
+			out.Fail(err)
+			return
+		}
+	}
+	if err := n.fold(e.ctx, spec, out); err != nil {
+		out.Fail(err)
+		return
+	}
+	out.Seal()
+	if spec.IsRoot {
+		cctx, cancel := n.rpcCtx()
+		defer cancel()
+		e.completed = n.dir.PutComplete(cctx, spec.OutputOID) == nil
+	}
+}
+
+// fold streams this slot's reduction into out one wire frame (ChunkSize
 // bytes, element-aligned) at a time: once its own object and each child
 // subtree's watermark pass a run, it copies its own run into the slot
 // output and folds each child's run into it there — so a hop forwards a frame
 // while the next is still in flight, and a chain of n hops costs n frame
 // times plus one object time (fine-grained pipelining, §3.3).
-func (n *Node) runReduceSlot(e *reduceExec) {
-	spec := e.spec
-	ctx := e.ctx
-	outOID := spec.OutputOID
-
-	out, err := n.store.Create(outOID, spec.Size, true)
-	if errors.Is(err, types.ErrExists) {
-		// Residue from a canceled epoch; replace it.
-		n.store.Delete(outOID)
-		out, err = n.store.Create(outOID, spec.Size, true)
-	}
-	if err != nil {
-		return
-	}
-	n.signalStoreChange()
-	fail := func(err error) {
-		out.Fail(err)
-		if ctx.Err() != nil && !spec.IsRoot {
-			// Cancelled: nobody reads this intermediate, and the
-			// coordinator's cleanup may not see it if it was never
-			// registered.
-			n.store.Delete(outOID)
-		}
-	}
-	if err := n.dir.PutStarted(ctx, outOID, spec.Size); err != nil {
-		fail(err)
-		return
-	}
-
+func (n *Node) fold(ctx context.Context, spec *reduceSpec, out *buffer.Buffer) error {
 	// Own object: the coordinator placed this slot on a node already
 	// holding it, so this is normally a store lookup; after an eviction
-	// it becomes a remote fetch.
+	// it becomes a remote fetch. Every input is read under a pin, so a
+	// Delete racing the fold cannot recycle its array.
 	own, err := n.ensureLocal(ctx, spec.OwnOID)
-	if err != nil {
-		fail(err)
-		return
+	if err == nil && !own.TryRef() {
+		err = types.ErrAborted
 	}
-	// Every input is read under a pin, so a Delete racing the fold cannot
-	// recycle its array.
-	if !own.TryRef() {
-		fail(types.ErrAborted)
-		return
+	if err != nil {
+		return err
 	}
 	defer own.Unref()
-	// Children outputs: fetched through the ordinary receiver-driven data
-	// plane; each blocks until the child slot is assigned and starts
-	// producing. Fetches run concurrently.
-	type childSlot struct {
-		buf *buffer.Buffer
-		err error
-	}
-	childCh := make([]chan childSlot, len(spec.Children))
-	for i, c := range spec.Children {
-		childCh[i] = make(chan childSlot, 1)
-		go func(i int, c childRef) {
-			buf, err := n.ensureLocal(ctx, c.OID)
-			childCh[i] <- childSlot{buf, err}
-		}(i, c)
-	}
-	children := make([]*buffer.Buffer, len(spec.Children)) // pinned once set
-	defer func() {
-		for _, b := range children {
-			if b != nil {
-				b.Unref()
-			}
+	// Children outputs stream in concurrently, each straight from the
+	// child's host, and are dropped when the fold ends.
+	inputs := []*buffer.Buffer{own}
+	for _, c := range spec.Children {
+		b, drop, err := n.childInput(ctx, c, spec.Size)
+		if err != nil {
+			return err
 		}
-	}()
+		defer drop()
+		inputs = append(inputs, b)
+	}
 
 	block := min(int64(n.cfg.ChunkSize), spec.Size)
 	if es := int64(spec.Op.DType.Size()); es > 0 {
 		block = max(block-block%es, es)
 	}
-	waitRange := func(b *buffer.Buffer, end int64) error {
-		wm, _, err := b.WaitAt(ctx, end-1)
-		if err != nil {
-			return err
-		}
-		if wm < end {
-			return fmt.Errorf("core: reduce input short: %d < %d", wm, end)
-		}
-		return nil
-	}
 	for off := int64(0); off < spec.Size; off += block {
 		end := min(off+block, spec.Size)
-		if err := waitRange(own, end); err != nil {
-			fail(err)
-			return
-		}
-		for i := range spec.Children {
-			if children[i] == nil {
-				select {
-				case cs := <-childCh[i]:
-					if cs.err == nil && !cs.buf.TryRef() {
-						cs.err = types.ErrAborted
-					}
-					if cs.err != nil {
-						fail(cs.err)
-						return
-					}
-					children[i] = cs.buf
-				case <-ctx.Done():
-					fail(ctx.Err())
-					return
-				}
+		for _, b := range inputs {
+			wm, _, err := b.WaitAt(ctx, end-1)
+			if err != nil {
+				return err
 			}
-			if err := waitRange(children[i], end); err != nil {
-				fail(err)
-				return
+			if wm < end {
+				return fmt.Errorf("core: reduce input short: %d < %d", wm, end)
 			}
 		}
 		// Fold in place: the run lands in the output's own array, so a
@@ -347,7 +347,7 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 		// straight into that copy.
 		err := out.Fill(off, end-off, func(p []byte) error {
 			copy(p, own.Bytes()[off:end])
-			for _, c := range children {
+			for _, c := range inputs[1:] {
 				if err := spec.Op.Accumulate(p, c.Bytes()[off:end]); err != nil {
 					return err
 				}
@@ -355,14 +355,31 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 			return nil
 		})
 		if err != nil {
-			fail(err)
-			return
+			return err
 		}
 	}
-	out.Seal()
-	cctx, cancel := n.rpcCtx()
-	defer cancel()
-	e.completed = n.dir.PutComplete(cctx, outOID) == nil
+	return nil
+}
+
+// childInput returns the buffer a child slot's output streams into and
+// its drop. A child on this node is read in place, pinned; a remote child
+// is pulled straight from its host into a private buffer. No lease is
+// taken: the parent is the output's only reader by construction.
+func (n *Node) childInput(ctx context.Context, c childRef, size int64) (*buffer.Buffer, func(), error) {
+	if c.Host == n.id {
+		p, err := n.serveBuffer(ctx, c.OID) // finds it in its executor
+		return p.Buf, p.Release, err
+	}
+	buf := buffer.New(size)
+	n.detach(func() {
+		err := n.data.Pull(ctx, string(c.Host), n.id, c.OID, 0, 0, buf, func(b int64, d time.Duration) {
+			n.links.ObserveTransfer(c.Host, b, d)
+		})
+		if err != nil {
+			buf.Fail(err)
+		}
+	})
+	return buf, buf.Retire, nil
 }
 
 // assignment tracks which source object fills a tree slot and where.
@@ -400,11 +417,12 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 	// watch the same object (a chained reduce's source is another's
 	// target), and ending ours must not end theirs. The initial records
 	// queue in source order, so slots fill as a serial loop would fill them.
-	recs, stop, err := n.watchAll(ctx, sources, updates.push)
+	recs, unwatch, err := n.watchAll(ctx, sources, updates.push)
 	if err != nil {
 		return nil, err
 	}
-	defer stop()
+	// The unwatches run after the result is decided, off the return path.
+	defer func() { n.detach(func() { unwatchAll(unwatch) }) }()
 	for i, rec := range recs {
 		updates.push(directory.Update{OID: sources[i], Size: rec.Size, Locs: rec.Locs, Inline: rec.Inline})
 	}
@@ -463,7 +481,7 @@ func (n *Node) Reduce(ctx context.Context, target types.ObjectID, sources []type
 	if size < n.cfg.InlineThreshold {
 		return n.reduceSmall(ctx, target, sources, num, op, size, updates, absorb, srcInline, &readyOrder)
 	}
-	return n.reduceTree(ctx, target, num, op, size, updates, absorb, srcLocs, &readyOrder, inQueue)
+	return n.reduceTree(ctx, target, num, op, size, updates, absorb, srcLocs, &readyOrder, inQueue, &unwatch)
 }
 
 // updateQueue carries directory pushes to a reduce's event loop, one
@@ -514,10 +532,10 @@ func (q *updateQueue) pop() (directory.Update, bool) {
 }
 
 // watchAll watches every oid at once, so n watches cost one round trip,
-// not n. It returns the initial records in oid order and a stop that ends
-// every watch, again at once. A deleted object still registers its watch:
-// its re-creation is what a reduce waits for.
-func (n *Node) watchAll(ctx context.Context, oids []types.ObjectID, fn func(directory.Update)) ([]directory.Record, func(), error) {
+// not n. It returns the initial records in oid order and the stops that
+// end the watches (unwatchAll). A deleted object still registers its
+// watch: its re-creation is what a reduce waits for.
+func (n *Node) watchAll(ctx context.Context, oids []types.ObjectID, fn func(directory.Update)) ([]directory.Record, []func(), error) {
 	recs := make([]directory.Record, len(oids))
 	stops := make([]func(), len(oids))
 	errs := make([]error, len(oids))
@@ -535,23 +553,22 @@ func (n *Node) watchAll(ctx context.Context, oids []types.ObjectID, fn func(dire
 		}(i, oid)
 	}
 	wg.Wait()
-	stopAll := func() {
-		var wg sync.WaitGroup
-		for _, stop := range stops {
-			if stop != nil {
-				wg.Add(1)
-				go func(stop func()) { defer wg.Done(); stop() }(stop)
-			}
-		}
-		wg.Wait()
-	}
 	for _, err := range errs {
 		if err != nil {
-			stopAll()
+			unwatchAll(stops)
 			return nil, nil, err
 		}
 	}
-	return recs, stopAll, nil
+	return recs, stops, nil
+}
+
+// unwatchAll ends watches one after another.
+func unwatchAll(stops []func()) {
+	for _, stop := range stops {
+		if stop != nil {
+			stop()
+		}
+	}
 }
 
 // reduceSmall gathers the first num small source payloads at the
@@ -605,13 +622,14 @@ func (n *Node) reduceSmall(ctx context.Context, target types.ObjectID, sources [
 // in arrival order (generalized in-order traversal), specs stream to
 // participant hosts, a participant's dropped control connection marks it
 // dead (socket liveness, §5.5), and failures trigger slot replacement plus
-// epoch-bumped restarts of the ancestors (§3.5.2).
+// epoch-bumped restarts of the ancestors (§3.5.2). It adds the target
+// watch's stop to unwatch.
 //
 // Only the event loop's goroutine writes the slot state (assigned, epoch,
-// outOID). Everything that waits on the network — spec calls, the target
-// watch, the local root executor — runs beside it and reports back over a
-// channel, so no round trip ever stalls the loop.
-func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, op types.ReduceOp, size int64, updates *updateQueue, absorb func(directory.Update), srcLocs map[types.ObjectID][]types.Location, readyOrder *[]types.ObjectID, inQueue map[types.ObjectID]bool) ([]types.ObjectID, error) {
+// sent). Everything that waits on the network — spec calls, the
+// target watch, the local root executor — runs beside it and reports back
+// over a channel, so no round trip ever stalls the loop.
+func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, op types.ReduceOp, size int64, updates *updateQueue, absorb func(directory.Update), srcLocs map[types.ObjectID][]types.Location, readyOrder *[]types.ObjectID, inQueue map[types.ObjectID]bool, unwatch *[]func()) ([]types.ObjectID, error) {
 	d := n.cfg.ReduceDegree
 	if d <= 0 {
 		// The planner supplies L and B: measured link aggregates once the
@@ -628,15 +646,16 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 
 	run := types.RandomObjectID()
 	epoch := make([]int64, num)
-	outOID := make([]types.ObjectID, num)
-	shards := n.dir.NumShards()
 	for i := range epoch {
 		epoch[i] = 1
-		if i == root {
-			outOID[i] = target
-		} else {
-			outOID[i] = pinToShard(target, run, i, epoch[i], shards)
+	}
+	// sent is the epoch each slot's spec went out at (0: none yet).
+	sent := make([]int64, num)
+	output := func(slot int) types.ObjectID {
+		if slot == root {
+			return target
 		}
+		return intermediateOID(run, slot, epoch[slot])
 	}
 	assigned := make([]*assignment, num)
 	assignedSrc := make(map[types.ObjectID]int) // src -> slot
@@ -689,24 +708,20 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		}
 	}
 	type watched struct {
-		stop func()
-		err  error
+		stops []func()
+		err   error
 	}
 	targetWatch := make(chan watched, 1)
 	go func() {
-		recs, stop, err := n.watchAll(ctx, []types.ObjectID{target}, func(u directory.Update) { markDone(u.Locs) })
+		recs, stops, err := n.watchAll(ctx, []types.ObjectID{target}, func(u directory.Update) { markDone(u.Locs) })
 		if err == nil {
 			markDone(recs[0].Locs)
 		}
-		targetWatch <- watched{stop, err}
+		targetWatch <- watched{stops, err}
 	}()
-	var stopTarget func()
 	defer func() {
-		if targetWatch != nil {
-			stopTarget = (<-targetWatch).stop
-		}
-		if stopTarget != nil {
-			stopTarget()
+		if tw := targetWatch; tw != nil {
+			*unwatch = append(*unwatch, func() { unwatchAll((<-tw).stops) })
 		}
 	}()
 	// rootDone carries the epoch of a local root executor that sealed and
@@ -731,14 +746,14 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	buildSpec := func(slot int) *reduceSpec {
 		refs := make([]childRef, 0, len(children[slot]))
 		for _, c := range children[slot] {
-			refs = append(refs, childRef{Slot: c, OID: outOID[c]})
+			refs = append(refs, childRef{OID: output(c), Host: assigned[c].host})
 		}
 		return &reduceSpec{
 			ReduceID:  run,
 			Slot:      slot,
 			Epoch:     epoch[slot],
 			OwnOID:    assigned[slot].src,
-			OutputOID: outOID[slot],
+			OutputOID: output(slot),
 			Children:  refs,
 			IsRoot:    slot == root,
 			Size:      size,
@@ -755,6 +770,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 	// sendSpec starts a slot on its host: directly when the host is this
 	// node, else by a call that runs beside the loop and reports failure.
 	sendSpec := func(slot int) {
+		sent[slot] = epoch[slot]
 		spec := buildSpec(slot)
 		host := assigned[slot].host
 		sentTo[host] = true
@@ -792,11 +808,27 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 		}()
 	}
 
+	// dispatch sends every slot whose current epoch has not gone out once
+	// its spec can name each child's host: a leaf when it is assigned, a
+	// parent with its last child.
+	dispatch := func() {
+		for s, a := range assigned {
+			ready := a != nil && sent[s] != epoch[s]
+			for _, c := range children[s] {
+				ready = ready && assigned[c] != nil
+			}
+			if ready {
+				sendSpec(s)
+			}
+		}
+	}
+
 	// tryAssign fills open slots with ready sources in arrival order; the
 	// planner picks which open slot each source gets (the root for this
 	// node's own source, else the lowest free slot, a leaf for a
-	// measured-slow host).
+	// measured-slow host). It then sends every spec that became ready.
 	tryAssign := func() {
+		defer dispatch()
 		for {
 			free := freeSlots()
 			if len(free) == 0 {
@@ -824,7 +856,6 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 			slot := n.plan.chooseSlot(free, root, isLeaf, host)
 			assigned[slot] = &assignment{src: src, host: host}
 			assignedSrc[src] = slot
-			sendSpec(slot)
 		}
 	}
 
@@ -877,39 +908,40 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 				restart[s] = true
 			}
 		}
-		// Delete superseded outputs (waking any reader blocked on them),
-		// bump epochs and reissue output IDs, then resend specs to live
-		// hosts.
-		dctx, cancel := n.rpcCtx()
-		for s := range restart {
-			_ = n.Delete(dctx, outOID[s])
+		// The root's restart deletes the partial target, waking any reader
+		// blocked on it. A restarted intermediate gets a fresh ID at its new
+		// epoch, and its host drops the superseded output when the new epoch
+		// replaces the executor. tryAssign resends the specs.
+		if restart[root] {
+			dctx, cancel := n.rpcCtx()
+			_ = n.Delete(dctx, target)
+			cancel()
 		}
-		cancel()
 		for s := range restart {
 			epoch[s]++
-			if s == root {
-				outOID[s] = target
-			} else {
-				outOID[s] = pinToShard(target, run, s, epoch[s], shards)
-			}
-		}
-		for s := range restart {
-			if assigned[s] != nil {
-				sendSpec(s)
-			}
 		}
 		tryAssign()
 	}
 
-	// cleanup hands the teardown to cleanupReduce, off the caller's path.
+	// cleanup tears the reduce down off the caller's path: once every spec
+	// call is answered (a start landing after its cancel would leave an
+	// executor nobody stops), every host that was sent a spec stops its
+	// executors, which drops their intermediate outputs. The root's output
+	// is the target, which belongs to the application until Delete.
 	cleanup := func() {
-		var intermediates []types.ObjectID
-		for s, a := range assigned {
-			if a != nil && s != root {
-				intermediates = append(intermediates, outOID[s])
+		n.detach(func() {
+			inflight.Wait()
+			ctx, cancel := n.rpcCtx()
+			defer cancel()
+			cancelMsg := wire.Message{Method: wire.MethodReduceCancel, Target: run}
+			for host := range sentTo {
+				if host == n.id {
+					n.handleReduceCancel(cancelMsg)
+				} else if c, err := n.peerCtrl(ctx, string(host)); err == nil {
+					_, _ = c.Call(ctx, cancelMsg)
+				}
 			}
-		}
-		n.cleanupReduce(run, sentTo, intermediates, &inflight)
+		})
 	}
 
 	// finish returns the used sources, slot order, and tears down.
@@ -943,7 +975,7 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 				cleanup()
 				return nil, w.err
 			}
-			stopTarget = w.stop
+			*unwatch = append(*unwatch, w.stops...)
 		case ep := <-rootDone:
 			if ep == epoch[root] { // not a superseded root epoch
 				return finish(), nil
@@ -974,42 +1006,4 @@ func (n *Node) callReduceStart(host types.NodeID, payload []byte) error {
 		return err
 	}
 	return resp.ErrorOf()
-}
-
-// cleanupReduce tears a finished or cancelled reduce down off the caller's
-// path: once every spec call is answered, every host that was sent a spec
-// stops its executors, then every non-root slot output is deleted
-// cluster-wide, which drops both the producer's copy and the parent's
-// pulled copy (failHost does the same for a restarted subtree). The root's
-// output is the target, which belongs to the application until Delete.
-func (n *Node) cleanupReduce(run types.ObjectID, hosts map[types.NodeID]bool, intermediates []types.ObjectID, inflight *sync.WaitGroup) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return
-	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		// A start still in flight could land after its cancel and leave
-		// an executor nobody stops.
-		inflight.Wait()
-		ctx, cancel := n.rpcCtx()
-		defer cancel()
-		cancelMsg := wire.Message{Method: wire.MethodReduceCancel, Target: run}
-		for host := range hosts {
-			if host == n.id {
-				n.handleReduceCancel(cancelMsg)
-				continue
-			}
-			c, err := n.peerCtrl(ctx, string(host))
-			if err != nil {
-				continue
-			}
-			_, _ = c.Call(ctx, cancelMsg)
-		}
-		for _, oid := range intermediates {
-			_ = n.Delete(ctx, oid)
-		}
-	}()
 }

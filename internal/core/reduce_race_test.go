@@ -18,6 +18,9 @@ import (
 // clobbering it and wedging the slot. The fix waits out the old epoch's
 // executor before the new one touches the store. Bumping epochs rapidly
 // under load makes the old interleaving essentially certain across runs.
+// Each epoch also restarts the root's child slot on the same node, so a
+// superseded child's private output is retired while the old root may
+// still be folding it in.
 func TestReduceEpochReplacementRace(t *testing.T) {
 	node, err := NewNode(Config{Fabric: &netem.TCP{}})
 	if err != nil {
@@ -27,36 +30,51 @@ func TestReduceEpochReplacementRace(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	const size = 256 << 10 // above the inline threshold: lives in the store
-	src := types.ObjectIDFromString("race-src")
-	data := make([]byte, size)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	if err := node.Put(ctx, src, data); err != nil {
-		t.Fatal(err)
-	}
-
-	target := types.ObjectIDFromString("race-target")
-	start := func(epoch int64) {
-		spec := &reduceSpec{
-			ReduceID:  target,
-			Slot:      0,
-			Epoch:     epoch,
-			OwnOID:    src,
-			OutputOID: target, // root slot: every epoch shares the target OID
-			IsRoot:    true,
-			Size:      size,
-			Op:        types.ReduceOp{Kind: types.Sum, DType: types.F32},
+	const elems = 64 << 10 // 256 KiB, above the inline threshold: lives in the store
+	f32s := func(val float32) []byte {
+		xs := make([]float32, elems)
+		for i := range xs {
+			xs[i] = val
 		}
+		return types.EncodeF32(xs)
+	}
+	put := func(name string, val float32) types.ObjectID {
+		oid := types.ObjectIDFromString(name)
+		if err := node.Put(ctx, oid, f32s(val)); err != nil {
+			t.Fatal(err)
+		}
+		return oid
+	}
+	leaf, own := put("race-leaf", 1), put("race-own", 2)
+	want := f32s(3)
+
+	run := types.ObjectIDFromString("race-run")
+	target := types.ObjectIDFromString("race-target")
+	send := func(spec *reduceSpec) {
 		payload, err := encodeSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp := node.handleReduceStart(wire.Message{Method: wire.MethodReduceStart, Payload: payload})
 		if e := resp.ErrorOf(); e != nil {
-			t.Fatalf("reduce start epoch %d: %v", epoch, e)
+			t.Fatalf("reduce start slot %d epoch %d: %v", spec.Slot, spec.Epoch, e)
 		}
+	}
+	op := types.ReduceOp{Kind: types.Sum, DType: types.F32}
+	start := func(epoch int64) {
+		child := intermediateOID(run, 0, epoch)
+		send(&reduceSpec{ReduceID: run, Slot: 0, Epoch: epoch, OwnOID: leaf, OutputOID: child, Size: 4 * elems, Op: op})
+		send(&reduceSpec{
+			ReduceID:  run,
+			Slot:      1,
+			Epoch:     epoch,
+			OwnOID:    own,
+			OutputOID: target, // root slot: every epoch shares the target OID
+			Children:  []childRef{{OID: child, Host: node.ID()}},
+			IsRoot:    true,
+			Size:      4 * elems,
+			Op:        op,
+		})
 	}
 
 	// waitProduced polls until the surviving epoch's executor has sealed
@@ -86,14 +104,14 @@ func TestReduceEpochReplacementRace(t *testing.T) {
 			epoch++
 			start(epoch)
 		}
-		// The surviving epoch must finish with the intact single-source
-		// fold (identity) — not a clobbered or wedged buffer.
+		// The surviving epoch must finish with the intact fold of its own
+		// child — not a clobbered or wedged buffer.
 		waitProduced(round)
 		got, err := node.Get(ctx, target)
 		if err != nil {
 			t.Fatalf("round %d: Get target: %v", round, err)
 		}
-		if !bytes.Equal(got, data) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: target payload corrupted", round)
 		}
 		// Reset for the next round so Create starts from a clean slot.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -252,22 +253,27 @@ func TestChooseDegreeIsArgmin(t *testing.T) {
 	}
 }
 
-func TestPinToShard(t *testing.T) {
-	base := treeTestOID()
-	runs := []types.ObjectID{types.ObjectIDFromString("run-a"), types.ObjectIDFromString("run-b")}
-	for shards := 1; shards <= 9; shards++ {
-		want := base.Shard(shards)
-		for slot := 0; slot < 5; slot++ {
-			oid := pinToShard(base, runs[0], slot, 1, shards)
-			if oid.Shard(shards) != want {
-				t.Fatalf("shards=%d slot=%d: pinned to %d, want %d", shards, slot, oid.Shard(shards), want)
-			}
-			if oid == base {
-				t.Fatal("pinned oid equals base")
-			}
-			// Two runs into one target never share an intermediate.
-			if pinToShard(base, runs[1], slot, 1, shards) == oid {
-				t.Fatalf("shards=%d slot=%d: two runs share an intermediate", shards, slot)
+// TestIntermediateOIDsAreDistinct checks that a slot output's name is
+// unique to its run, slot and epoch: a late cleanup of one run, or a
+// superseded epoch's output, can never be mistaken for another's.
+func TestIntermediateOIDsAreDistinct(t *testing.T) {
+	runs := []types.ObjectID{treeTestOID(), types.ObjectIDFromString("run-a"), types.ObjectIDFromString("run-b")}
+	seen := make(map[types.ObjectID]string)
+	for _, run := range runs {
+		for slot := 0; slot < 9; slot++ {
+			for epoch := int64(1); epoch <= 4; epoch++ {
+				oid := intermediateOID(run, slot, epoch)
+				name := fmt.Sprintf("run %v slot %d epoch %d", run, slot, epoch)
+				if oid == run {
+					t.Fatalf("%s: output named like its run", name)
+				}
+				if prev, dup := seen[oid]; dup {
+					t.Fatalf("%s and %s share an output ID", prev, name)
+				}
+				seen[oid] = name
+				if intermediateOID(run, slot, epoch) != oid {
+					t.Fatalf("%s: output ID not deterministic", name)
+				}
 			}
 		}
 	}

@@ -141,10 +141,6 @@ func (c *Client) Stats() ClientStats {
 	return st
 }
 
-// NumShards returns the number of directory shards. Shard count is fixed
-// for the cluster's lifetime — membership changes move groups, not shards.
-func (c *Client) NumShards() int { return c.numShards }
-
 // Self returns the node this client acts for.
 func (c *Client) Self() types.NodeID { return c.self }
 

@@ -595,6 +595,45 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestFailureReportsOnUnknownOIDCreateNoEntry: a transfer abort, a
+// sender-side failure report and a location removal name an object the
+// shard has never seen (a reduce intermediate, say, which never touches
+// the directory). None of them may create an entry for it.
+func TestFailureReportsOnUnknownOIDCreateNoEntry(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := NewServer()
+	srv := wire.NewServer(ln, shard.Handler())
+	go srv.Serve()
+	defer srv.Close()
+	dial := func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addr)
+	}
+	c := NewClient("n", []string{ln.Addr().String()}, dial)
+	defer c.Close()
+	ctx := ctxT(t)
+	if err := c.PutStarted(ctx, types.ObjectIDFromString("known"), 100); err != nil {
+		t.Fatal(err)
+	}
+	want := shard.Stats().Objects
+	calls := map[string]func(types.ObjectID) error{
+		"AbortTransfer":   func(oid types.ObjectID) error { return c.AbortTransfer(ctx, oid, "sender", true) },
+		"AbortDownstream": func(oid types.ObjectID) error { return c.AbortDownstream(ctx, oid, "receiver") },
+		"RemoveLocation":  func(oid types.ObjectID) error { return c.RemoveLocation(ctx, oid) },
+	}
+	for name, call := range calls {
+		if err := call(types.ObjectIDFromString("unknown-" + name)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := shard.Stats().Objects; got != want {
+			t.Fatalf("%s on an unknown OID: %d entries, want %d", name, got, want)
+		}
+	}
+}
+
 // TestMarkSpilledRanking: a spilled location keeps serving but loses to
 // in-memory complete copies in sender selection, and beats partials.
 func TestMarkSpilledRanking(t *testing.T) {

@@ -499,7 +499,10 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 		// set (meaning "the sender is dead"), the sender's location is
 		// dropped. The receiver keeps its partial copy and will re-acquire,
 		// resuming from its watermark (§3.5.1).
-		e := s.entryLocked(m.OID)
+		e, ok := s.entries[m.OID]
+		if !ok {
+			return resp, false, nil // nothing leased or located to drop
+		}
 		if e.leasedTo[m.Sender] == m.Node {
 			delete(e.leasedTo, m.Sender)
 		}
@@ -515,8 +518,12 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 		// receiver's (m.Node) socket die mid-transfer. The lease is
 		// returned and the receiver's (possibly stale) partial location
 		// dropped; a live receiver that merely lost the connection
-		// re-registers itself on its next acquire.
-		e := s.entryLocked(m.OID)
+		// re-registers itself on its next acquire. A reduce intermediate
+		// is served without a lease and never had an entry.
+		e, ok := s.entries[m.OID]
+		if !ok {
+			return resp, false, nil
+		}
 		if e.leasedTo[m.Sender] == m.Node {
 			delete(e.leasedTo, m.Sender)
 		}
@@ -539,7 +546,10 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 		return resp, true, s.notifyLocked(m.OID, e)
 
 	case wire.MethodRemoveLoc:
-		e := s.entryLocked(m.OID)
+		e, ok := s.entries[m.OID]
+		if !ok {
+			return resp, false, nil
+		}
 		delete(e.prog, m.Node)
 		e.wake()
 		return resp, true, s.notifyLocked(m.OID, e)

@@ -148,7 +148,7 @@ func NewTiered(t Tier) *Store {
 // objects that must survive until Delete; unpinned objects are remote
 // copies eligible for LRU eviction. It returns ErrExists if the object is
 // already present. Create never blocks: allocations beyond capacity
-// overshoot (internal paths — inbound pulls, reduce outputs — must not
+// overshoot (internal paths — inbound pulls, a reduce target — must not
 // deadlock the collectives they serve).
 func (s *Store) Create(oid types.ObjectID, size int64, pinned bool) (*buffer.Buffer, error) {
 	return s.CreateChunked(oid, size, 0, pinned)

@@ -67,8 +67,8 @@ func (id ObjectID) Shard(n int) int {
 }
 
 // Derive returns a new ObjectID obtained by hashing this ID together with a
-// tag and two integers. It is used for reduce intermediate outputs, which
-// are ordinary objects named (reduceID, slot, epoch).
+// tag and two integers. It names reduce intermediate outputs, one per
+// (reduce run, slot, epoch).
 func (id ObjectID) Derive(tag string, a, b int64) ObjectID {
 	h := sha1.New()
 	h.Write(id[:])

@@ -33,13 +33,15 @@ func reduceExecutors(c *Cluster) int {
 }
 
 // TestReduceLeavesNoResidue checks that a completed reduce leaves no
-// intermediate object and no slot executor anywhere: once its sources and
-// its target are deleted, every store in the cluster is empty and every
-// lease is back. Each parent slot pulls its children's outputs into its
-// own store; the coordinator must delete those copies along with the
-// producers'. A reduce whose ctx is cancelled while its specs are still
-// going out must leave no executor either: a start that lands after the
-// cleanup's cancel would run on with nobody to stop it.
+// intermediate output and no slot executor anywhere, and that once its
+// sources and its target are deleted every store in the cluster is empty
+// and every lease is back. An intermediate output is held by its slot's
+// executor, never by a store, and a parent's pulled copy lives only as
+// long as its fold, so zero executors means zero intermediates; a slot
+// output that reached a store would show up there. A reduce whose ctx is
+// cancelled while its specs are still going out must leave no executor
+// either: a start that lands after the cleanup's cancel would run on with
+// nobody to stop it.
 func TestReduceLeavesNoResidue(t *testing.T) {
 	const nodes = 4
 	const elems = 128 << 10 // 512 KiB of f32: two wire frames per fold
@@ -99,8 +101,9 @@ func TestReduceLeavesNoResidue(t *testing.T) {
 			_, err := c.Node(0).Reduce(rctx, target, sources, nodes, SumF32)
 			done <- err
 		}()
-		// The coordinator starts its own root slot before any remote one.
-		for c.Node(0).ReduceExecutors() == 0 {
+		// A slot starts once it and its children are assigned; with a
+		// source missing, the root may never start, so any executor will do.
+		for reduceExecutors(c) == 0 {
 			runtime.Gosched()
 		}
 		cancel()

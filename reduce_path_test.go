@@ -17,10 +17,11 @@ import (
 // TestReduceCriticalPathRTTs counts the round trips on a reduce's critical
 // path. With unlimited bandwidth an 8-way 256 KiB reduce moves its data in
 // a few frame times, so what is left is control: watching the sources,
-// dispatching the specs, the slots' directory registrations and the
-// target's completion. The coordinator fans its watches and specs out
-// concurrently and finishes on its own root executor, so the whole reduce
-// costs about 15 RTTs; serial per-source watches, specs and unwatches
+// dispatching the specs, each parent's pull of its children's outputs
+// straight from their hosts, and the target's registration. The
+// coordinator fans its watches and specs out concurrently, finishes on its
+// own root executor and unwatches after it returns, so the whole reduce
+// costs under 10 RTTs; serial per-source watches, specs and unwatches
 // cost about 60.
 func TestReduceCriticalPathRTTs(t *testing.T) {
 	const (
@@ -28,7 +29,7 @@ func TestReduceCriticalPathRTTs(t *testing.T) {
 		rtt     = 2 * oneWay
 		sources = 8
 		elems   = 64 << 10 // 256 KiB of f32
-		maxRTTs = 40
+		maxRTTs = 20
 	)
 	ctx := testCtx(t)
 	c := startCluster(t, sources+1, Options{Emulate: &netem.LinkConfig{Latency: oneWay}})
@@ -77,6 +78,73 @@ func TestReduceCriticalPathRTTs(t *testing.T) {
 	t.Logf("reduce + WaitLocal: %v = %.1f RTTs of %v", d, rtts, rtt)
 	if rtts > maxRTTs {
 		t.Fatalf("reduce critical path %.1f RTTs, want <= %d", rtts, maxRTTs)
+	}
+}
+
+// TestReduceDirectoryCalls counts the directory RPCs of a warm 8-way 1 MiB
+// reduce, summed over every node's directory client. Only the
+// application's objects touch the directory: the source watches and their
+// unwatches, and the target's watch, registration and completion. The
+// slot outputs below the root are private to their run and cost none.
+func TestReduceDirectoryCalls(t *testing.T) {
+	const (
+		sources     = 8
+		elems       = 256 << 10 // 1 MiB of f32
+		rounds      = 3
+		maxPerRound = 26
+	)
+	ctx := testCtx(t)
+	c := startCluster(t, sources+1, Options{})
+	calls := func() int64 {
+		var sum int64
+		for _, n := range c.Nodes() {
+			sum += n.Directory().Stats().Calls
+		}
+		return sum
+	}
+	// Every round's sources are put up front, so only reduces are counted.
+	srcs := make([][]ObjectID, rounds+1)
+	for r := range srcs {
+		for i := 0; i < sources; i++ {
+			oid := RandomObjectID()
+			putF32(t, ctx, c.Node(i), oid, float32(i+1), elems)
+			srcs[r] = append(srcs[r], oid)
+		}
+	}
+	reduce := func(r int) {
+		target := RandomObjectID()
+		if _, err := c.Node(0).Reduce(ctx, target, srcs[r], sources, SumF32); err != nil {
+			t.Fatalf("round %d reduce: %v", r, err)
+		}
+		if err := c.Node(0).WaitLocal(ctx, target); err != nil {
+			t.Fatalf("round %d WaitLocal: %v", r, err)
+		}
+	}
+	// settled returns the count once the reduces' teardown, which runs
+	// after Reduce returns, has stopped issuing calls.
+	settled := func() int64 {
+		waitCond(t, "every executor to stop", func() bool { return reduceExecutors(c) == 0 })
+		prev := calls()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(50 * time.Millisecond)
+			cur := calls()
+			if cur == prev {
+				return cur
+			}
+			prev = cur
+		}
+		t.Fatal("directory calls never settled")
+		return 0
+	}
+	reduce(0) // dials every connection and learns the links once
+	before := settled()
+	for r := 1; r <= rounds; r++ {
+		reduce(r)
+	}
+	per := float64(settled()-before) / rounds
+	t.Logf("%.1f directory RPCs per %d-way reduce", per, sources)
+	if per > maxPerRound {
+		t.Fatalf("%.1f directory RPCs per reduce, want <= %d", per, maxPerRound)
 	}
 }
 

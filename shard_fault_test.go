@@ -131,10 +131,10 @@ func TestShardPrimaryKillMidStripedGet(t *testing.T) {
 }
 
 // TestShardPrimaryKillMidReduce kills the primary of the shard holding
-// the reduce target's metadata (which also pins every intermediate slot
-// output) while the tree reduce is streaming. The coordinator's
-// subscriptions re-home to a live replica and the reduce completes with
-// the exact fold.
+// the reduce target's metadata while the tree reduce is streaming. The
+// intermediate slot outputs have no directory record to lose: each parent
+// pulls them straight from the child's host. The coordinator's watches
+// re-home to a live replica and the reduce completes with the exact fold.
 func TestShardPrimaryKillMidReduce(t *testing.T) {
 	ctx := testCtx(t)
 	c := startCluster(t, 5, Options{Emulate: slowEmu()})
@@ -152,8 +152,8 @@ func TestShardPrimaryKillMidReduce(t *testing.T) {
 			t.Fatalf("Put source %d: %v", i, err)
 		}
 	}
-	// Target metadata (and every pinned slot output) on shard 4, whose
-	// primary node 4 hosts no source and is not the coordinator.
+	// Target metadata on shard 4, whose primary node 4 hosts no source and
+	// is not the coordinator.
 	target := oidOnShard(t, "skill-reduce-target", c.Size(), 4)
 	done := make(chan error, 1)
 	go func() {
