@@ -127,9 +127,11 @@ type Options struct {
 	// ReplicationFactor is how many nodes replicate each directory shard
 	// (default 3, capped at the number of shard-hosting nodes). Shard i's
 	// replica group is nodes i, i+1, ... (mod ShardNodes) in succession
-	// order: the primary forwards every mutation to the backups
-	// synchronously, and when it dies the next live replica promotes
-	// itself, so killing any single node never wedges directory metadata.
+	// order. The primary forwards every mutation to every live backup at
+	// once and acknowledges it once all have answered; when it dies the
+	// live replica with the most applied ops promotes itself (the earlier
+	// in succession order breaking ties), so killing any single node never
+	// wedges directory metadata.
 	// 1 disables replication.
 	ReplicationFactor int
 	// ObjectReplication is the object replication target the background

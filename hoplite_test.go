@@ -231,3 +231,37 @@ func TestDelete(t *testing.T) {
 		t.Fatal("Get after Delete succeeded")
 	}
 }
+
+// TestDeleteEvictsPastDeadHolder deletes an object held on four nodes, one
+// of them dead. Every holder is sent its eviction before any answer is
+// awaited, and the dead one must not keep the live copies in place.
+func TestDeleteEvictsPastDeadHolder(t *testing.T) {
+	ctx := testCtx(t)
+	c := startCluster(t, 5, Options{Emulate: slowEmu()})
+	oid := oidOnShard(t, "del-dead", c.Size(), 0)
+	if err := c.Node(0).Put(ctx, oid, payload(256<<10, 3)); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	holders := []int{0, 1, 2, 3}
+	for _, i := range holders[1:] {
+		if _, err := c.Node(i).Get(ctx, oid); err != nil {
+			t.Fatalf("node %d Get: %v", i, err)
+		}
+	}
+	for _, i := range holders {
+		if !c.Node(i).Store().Contains(oid) {
+			t.Fatalf("node %d holds no copy before the Delete", i)
+		}
+	}
+	if err := c.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	// The dead holder's failed eviction may be reported; the test is about
+	// the others.
+	_ = c.Node(4).Delete(ctx, oid)
+	for _, i := range []int{0, 1, 3} {
+		if c.Node(i).Store().Contains(oid) {
+			t.Fatalf("node %d still holds its copy after the Delete", i)
+		}
+	}
+}

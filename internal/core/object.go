@@ -262,7 +262,16 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 		return err
 	}
 	n.noteTombstone(oid)
-	epoch := n.mapEpoch()
+	// Every holder gets its eviction before any answer is awaited, so a
+	// Delete costs one round trip however many copies there are.
+	type eviction struct {
+		addr string
+		c    *wire.Client
+		call wire.Pending
+	}
+	var buf [4]eviction
+	evs := buf[:0]
+	m := wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: n.mapEpoch()}
 	var firstErr error
 	for _, loc := range locs {
 		if loc.Node == n.id {
@@ -276,26 +285,25 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 			}
 			continue
 		}
-		resp, err := c.Call(ctx, wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: epoch})
-		if err != nil {
-			// Our own cancellation says nothing about the peer; closing
-			// the shared connection would report it down to every reduce.
-			if ctx.Err() == nil {
-				n.dropPeer(string(loc.Node), c)
-			}
-			continue
-		}
-		if errors.Is(resp.ErrorOf(), types.ErrStaleMap) {
+		evs = append(evs, eviction{string(loc.Node), c, c.Go(m)})
+	}
+	for i := range evs {
+		ev := &evs[i]
+		resp, err := ev.call.Wait(ctx)
+		if err == nil && errors.Is(resp.ErrorOf(), types.ErrStaleMap) {
 			// The holder has a newer cluster map than we do: adopt it and
 			// re-issue the eviction with a current stamp so the copy is not
 			// silently left behind.
 			if cm, derr := types.DecodeClusterMap(resp.Payload); derr == nil {
 				n.applyMap(cm)
 			}
-			epoch = n.mapEpoch()
-			if _, err := c.Call(ctx, wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: epoch}); err != nil && ctx.Err() == nil {
-				n.dropPeer(string(loc.Node), c)
-			}
+			m.Epoch = n.mapEpoch()
+			_, err = ev.c.Call(ctx, m)
+		}
+		// Our own cancellation says nothing about the peer; closing the
+		// shared connection would report it down to every reduce.
+		if err != nil && ctx.Err() == nil {
+			n.dropPeer(ev.addr, ev.c)
 		}
 	}
 	n.store.Delete(oid) // cover copies created after the directory snapshot

@@ -1,16 +1,17 @@
 // Shard replication: each directory shard is hosted by a group of R
 // replicas in a fixed succession order. The primary applies every
-// mutation, assigns it a per-shard sequence number, and synchronously
-// forwards the resolved op to the live backups (MethodReplicate) before
-// replying to the client. Backups apply ops in sequence order (buffering a
-// bounded out-of-order tail), serve reads and Subscribe fan-out from the
-// replicated state, and monitor the primary through a lease heartbeat
-// (MethodDirHeartbeat) plus the replication connection's OnClose. When the
-// lease expires and no earlier replica in the group answers a ping, the
-// next live replica promotes itself: it bumps the succession epoch,
-// replays its buffered log tail, and takes over mutations. A replica that
-// falls behind — or restarts empty — is caught by the heartbeat exchange
-// and re-synced with a full shard snapshot push (MethodDirSnapshot).
+// mutation, assigns it a per-shard sequence number, and forwards the
+// resolved op to every live backup at once (MethodReplicate), replying to
+// the client once all have answered. Backups apply ops in sequence order
+// (buffering a bounded out-of-order tail), serve reads and Subscribe
+// fan-out from the replicated state, and monitor the primary through a
+// lease heartbeat (MethodDirHeartbeat) plus the replication connection's
+// OnClose. When the lease expires, the live replica with the best (epoch,
+// seq) promotes itself, the group index breaking ties: it bumps the
+// succession epoch, replays its buffered log tail, and takes over
+// mutations. A replica that falls behind — or restarts empty — is caught
+// by the heartbeat exchange and re-synced with a full shard snapshot push
+// (MethodDirSnapshot).
 //
 // The scheme trades consensus for the paper's socket-liveness failure
 // model (§5.5): forwarding is synchronous, so an op acknowledged to a
@@ -36,7 +37,7 @@ import (
 
 // Replication timing defaults: the primary heartbeats each backup every
 // HeartbeatInterval; a backup whose lease has been silent for LeaseTimeout
-// probes its predecessors and promotes itself if none are alive.
+// queries its group and promotes itself if no live peer leads or beats it.
 const (
 	DefaultHeartbeatInterval = 50 * time.Millisecond
 	DefaultLeaseTimeout      = 300 * time.Millisecond
@@ -51,7 +52,7 @@ const (
 	maxDedupeOps = 4096
 	// snapshotChunk is the soft payload bound of one DirSnapshot frame.
 	snapshotChunk = 2 << 20
-	// forwardTimeout bounds one synchronous replication or heartbeat call.
+	// forwardTimeout bounds one replication, heartbeat or query round.
 	forwardTimeout = 2 * time.Second
 )
 
@@ -62,9 +63,9 @@ type Config struct {
 	// Self is this server's control address, as it appears in Groups.
 	Self string
 	// Groups lists every shard's replica addresses in succession order:
-	// Groups[i][0] is shard i's initial primary, and on failure the next
-	// live replica by index takes over. The server hosts a replica of
-	// every group containing Self.
+	// Groups[i][0] is shard i's initial primary; on failure the live
+	// replica with the best (epoch, seq) takes over, index breaking ties.
+	// The server hosts a replica of every group containing Self.
 	Groups [][]string
 	// Dial connects to peer replicas for replication, heartbeats and
 	// promotion probes. Required when Groups is set.
@@ -180,13 +181,13 @@ func (r *replica) hasPeers(self string) bool {
 	return false
 }
 
-// Start launches the replication goroutines: a boot-time state query (so
-// a restarted replica rejoins as a backup instead of split-braining the
-// shard), the primary heartbeat loop, the backup promotion monitor, and —
-// when membership is enabled — the re-replication scanner. With membership
-// on, the loops run even when this server hosts no replica yet: map
-// installs create replicas dynamically and the per-tick scans pick them
-// up. It is a no-op for a standalone server.
+// Start launches the replication goroutines: a boot-time state query per
+// replica (so a restarted one rejoins as a backup instead of split-braining
+// the shard), the primary heartbeat loop, the backup promotion monitor, and
+// — when membership is enabled — the re-replication scanner. With
+// membership on, the loops run even when this server hosts no replica yet:
+// map installs create replicas dynamically and the per-tick scans pick
+// them up. It is a no-op for a standalone server.
 func (s *Server) Start() {
 	s.mu.Lock()
 	reps := make([]*replica, 0, len(s.reps))
@@ -203,14 +204,9 @@ func (s *Server) Start() {
 	if len(reps) == 0 && !membership {
 		return
 	}
-	if len(reps) > 0 {
+	for _, r := range reps {
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for _, r := range reps {
-				s.bootQuery(r)
-			}
-		}()
+		go func(r *replica) { defer s.wg.Done(); s.bootQuery(r) }(r)
 	}
 	s.wg.Add(2)
 	go func() { defer s.wg.Done(); s.heartbeatLoop() }()
@@ -227,20 +223,15 @@ func (s *Server) Start() {
 // restarted replica finds the current epoch (or a peer with more applied
 // ops) and rejoins as an out-of-sync backup that the primary re-syncs.
 func (s *Server) bootQuery(r *replica) {
+	s.mu.Lock()
+	peers := s.peersLocked(r, false, nil)
+	// Num -1 makes the heartbeat a state query, not a primacy claim.
+	query := wire.Message{Method: wire.MethodDirHeartbeat, Offset: int64(r.shard), Num: -1}
+	s.mu.Unlock()
 	var bestEpoch, bestSeq int64
 	bestPrimary := ""
-	for _, addr := range r.group {
-		if addr == s.cfg.Self {
-			continue
-		}
-		resp, err := s.callReplica(addr, wire.Message{
-			Method: wire.MethodDirHeartbeat,
-			Offset: int64(r.shard),
-			Num:    -1, // query, not a primacy claim
-		})
-		if err != nil {
-			continue
-		}
+	for _, p := range s.fanOut(peers, query) {
+		resp := p.resp // zero for a peer that did not answer: it counts for nothing
 		if resp.Gen > bestEpoch {
 			bestEpoch = resp.Gen
 			bestPrimary = string(resp.Node)
@@ -249,7 +240,7 @@ func (s *Server) bootQuery(r *replica) {
 			bestSeq = resp.Num
 		}
 		if resp.Complete { // the peer is primary right now
-			bestPrimary = addr
+			bestPrimary = p.addr
 			if resp.Gen >= bestEpoch {
 				bestEpoch = resp.Gen
 			}
@@ -416,90 +407,114 @@ func (s *Server) dropConn(addr string, c *wire.Client) {
 	c.Close()
 }
 
-// callReplica performs one bounded replication-plane call to a peer,
-// dropping the cached connection on transport failure.
+// callReplica performs one replication-plane call to a peer, bounded by
+// forwardTimeout (see callReplicaTimeout).
 func (s *Server) callReplica(addr string, m wire.Message) (wire.Message, error) {
-	c, err := s.conn(addr)
-	if err != nil {
-		return wire.Message{}, err
+	return s.callReplicaTimeout(addr, m, forwardTimeout)
+}
+
+// groupReply is one peer's part in a fan-out to a replica group.
+type groupReply struct {
+	addr string
+	idx  int // the peer's index in the group when it was snapshotted
+	c    *wire.Client
+	call wire.Pending
+	resp wire.Message
+	err  error
+}
+
+// peersLocked appends to dst the members of r's group other than self, in
+// group order; live leaves out backups marked down. installMapLocked
+// replaces r.group under s.mu, so callers hold it.
+func (s *Server) peersLocked(r *replica, live bool, dst []groupReply) []groupReply {
+	for i, addr := range r.group {
+		if b := r.backups[addr]; addr == s.cfg.Self || live && b != nil && b.down {
+			continue
+		}
+		dst = append(dst, groupReply{addr: addr, idx: i})
+	}
+	return dst
+}
+
+// fanOut sends m to every peer at once and then waits for all of them
+// under one forwardTimeout, so a group round costs one round trip rather
+// than one per peer. Each peer's answer or error lands in its reply, in
+// group order; a failed peer's cached connection is dropped.
+func (s *Server) fanOut(peers []groupReply, m wire.Message) []groupReply {
+	for i := range peers {
+		p := &peers[i]
+		if p.c, p.err = s.conn(p.addr); p.err == nil {
+			p.call = p.c.Go(m)
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), forwardTimeout)
-	resp, err := c.Call(ctx, m)
-	cancel()
-	if err != nil {
-		s.dropConn(addr, c)
-		return wire.Message{}, err
+	defer cancel()
+	for i := range peers {
+		p := &peers[i]
+		if p.err != nil {
+			continue
+		}
+		if p.resp, p.err = p.call.Wait(ctx); p.err != nil {
+			s.dropConn(p.addr, p.c)
+		}
 	}
-	return resp, nil
+	return peers
 }
 
 // commitLocked sequences a freshly applied op and returns the closure
-// that synchronously forwards it to the shard's live backups; the caller
-// runs the closure after releasing s.mu and before replying, so an
-// acknowledged op is on every reachable backup. The closure reports
-// whether this replica remained primary through the forwards — a false
-// return means a backup exposed a higher epoch and the op lives only in
-// this deposed replica's history (about to be wiped by resync), so the
-// caller must answer ErrNotPrimary and let the client retry against the
-// real primary instead of acknowledging a write that will vanish. rep is
-// nil in standalone mode.
+// that forwards it to every live backup at once and waits until all have
+// answered; the caller runs the closure after releasing s.mu and before
+// replying, so an acknowledged op is on every reachable backup. The
+// closure reports whether this replica remained primary through the
+// forwards — a false return means a backup exposed a higher epoch and the
+// op lives only in this deposed replica's history (about to be wiped by
+// resync), so the caller must answer ErrNotPrimary and let the client
+// retry against the real primary instead of acknowledging a write that
+// will vanish. rep is nil in standalone mode.
 func (s *Server) commitLocked(rep *replica, op wire.Message, resp wire.Message) func() bool {
 	if rep == nil {
 		return nil
 	}
 	rep.seq++
-	seq := rep.seq
 	if op.Num2 > 0 {
 		rep.cacheLocked(dedupeKey{op.Node, op.Num2}, resp)
 	}
-	var targets []string
-	for _, addr := range rep.group {
-		if addr == s.cfg.Self {
-			continue
-		}
-		if b := rep.backups[addr]; b != nil && b.down {
-			continue
-		}
-		targets = append(targets, addr)
-	}
-	if len(targets) == 0 {
+	if !rep.hasPeers(s.cfg.Self) {
 		return nil
 	}
 	payload, err := wire.AppendMessage(nil, &op)
 	if err != nil {
 		return nil
 	}
-	epoch := rep.epoch
-	shard := rep.shard
+	epoch, seq := rep.epoch, rep.seq
 	return func() bool {
-		for _, addr := range targets {
-			resp, err := s.callReplica(addr, wire.Message{
-				Method:   wire.MethodReplicate,
-				Offset:   int64(shard),
-				Gen:      epoch,
-				Num:      seq,
-				Node:     types.NodeID(s.cfg.Self),
-				Complete: true,
-				Payload:  payload,
-			})
-			s.mu.Lock()
-			if err != nil {
-				if b := rep.backups[addr]; b != nil {
+		var buf [4]groupReply // R <= 5 fans out without a heap allocation
+		s.mu.Lock()
+		peers := s.peersLocked(rep, true, buf[:0])
+		s.mu.Unlock()
+		s.fanOut(peers, wire.Message{
+			Method:   wire.MethodReplicate,
+			Offset:   int64(rep.shard),
+			Gen:      epoch,
+			Num:      seq,
+			Node:     types.NodeID(s.cfg.Self),
+			Complete: true,
+			Payload:  payload,
+		})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, p := range peers {
+			switch {
+			case p.err != nil:
+				if b := rep.backups[p.addr]; b != nil {
 					b.down = true // heartbeat re-admits and re-syncs it
 				}
-				s.mu.Unlock()
-				continue
-			}
-			if !rep.primary {
-				s.mu.Unlock()
+			case !rep.primary:
+				return false
+			case p.resp.Gen > rep.epoch:
+				s.stepDownLocked(rep, p.resp.Gen, string(p.resp.Node))
 				return false
 			}
-			if resp.Gen > rep.epoch {
-				s.stepDownLocked(rep, resp.Gen, string(resp.Node))
-				s.mu.Unlock()
-				return false
-			}
-			s.mu.Unlock()
 		}
 		return true
 	}
@@ -746,31 +761,26 @@ func (s *Server) beatBackups(r *replica) {
 		s.mu.Unlock()
 		return
 	}
-	epoch, seq := r.epoch, r.seq
-	backups := make([]string, 0, len(r.group)-1)
-	for _, addr := range r.group {
-		if addr != s.cfg.Self {
-			backups = append(backups, addr)
-		}
+	m := wire.Message{
+		Method:   wire.MethodDirHeartbeat,
+		Offset:   int64(r.shard),
+		Gen:      r.epoch,
+		Num:      r.seq,
+		Node:     types.NodeID(s.cfg.Self),
+		Complete: true,
 	}
+	peers := s.peersLocked(r, false, nil)
 	s.mu.Unlock()
 	// Map anti-entropy gathered from heartbeat answers: members behind our
 	// cluster-map epoch get a push, and a member ahead of us is pulled
 	// from, both after the beat loop (no I/O while iterating under s.mu).
 	var mapBehind []string
 	mapAhead := ""
-	for _, addr := range backups {
-		resp, err := s.callReplica(addr, wire.Message{
-			Method:   wire.MethodDirHeartbeat,
-			Offset:   int64(r.shard),
-			Gen:      epoch,
-			Num:      seq,
-			Node:     types.NodeID(s.cfg.Self),
-			Complete: true,
-		})
+	for _, p := range s.fanOut(peers, m) {
+		addr, resp := p.addr, p.resp
 		s.mu.Lock()
 		b := r.backups[addr]
-		if err != nil {
+		if p.err != nil {
 			if b != nil {
 				b.down = true
 			}
@@ -834,8 +844,7 @@ func (s *Server) beatBackups(r *replica) {
 }
 
 // monitorLoop is the backup side of the lease: when the primary has been
-// silent past LeaseTimeout, probe the predecessors in succession order
-// and promote if none are alive.
+// silent past LeaseTimeout, run checkPromotion.
 func (s *Server) monitorLoop() {
 	interval := s.cfg.LeaseTimeout / 4
 	if interval <= 0 {
@@ -878,28 +887,14 @@ func (s *Server) checkPromotion(r *replica) {
 	// The group's order ranks the replicas (installMapLocked rewrites it
 	// under s.mu), so every index is read here, with the epoch and seq.
 	myEpoch, mySeq, myIdx := r.epoch, r.seq, r.selfIdx
-	shard := r.shard
-	type peer struct {
-		addr string
-		idx  int
-	}
-	peers := make([]peer, 0, len(r.group)-1)
-	for i, addr := range r.group {
-		if addr != s.cfg.Self {
-			peers = append(peers, peer{addr, i})
-		}
-	}
+	peers := s.peersLocked(r, false, nil)
+	query := wire.Message{Method: wire.MethodDirHeartbeat, Offset: int64(r.shard), Num: -1} // state query
 	s.mu.Unlock()
-	for _, p := range peers {
-		addr := p.addr
-		resp, err := s.callReplica(addr, wire.Message{
-			Method: wire.MethodDirHeartbeat,
-			Offset: int64(shard),
-			Num:    -1, // state query
-		})
-		if err != nil {
+	for _, p := range s.fanOut(peers, query) {
+		if p.err != nil {
 			continue // dead or unreachable: not a contender
 		}
+		resp := p.resp
 		if resp.Complete && resp.Gen >= myEpoch {
 			// A live primary exists; its heartbeat just has not reached
 			// us yet. Adopt it and renew the lease.
@@ -908,7 +903,7 @@ func (s *Server) checkPromotion(r *replica) {
 				if resp.Gen > r.epoch {
 					r.epoch = resp.Gen
 				}
-				r.primaryAddr = addr
+				r.primaryAddr = p.addr
 				r.lastBeat = time.Now()
 			}
 			s.mu.Unlock()

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,6 +28,8 @@ type replicaHarness struct {
 	lns   []net.Listener
 	dirs  []*Server
 	wires []*wire.Server
+	// wrap, if set, interposes on replica i's handler (fault injection).
+	wrap func(i int, next wire.Handler) wire.Handler
 }
 
 const (
@@ -34,11 +39,17 @@ const (
 
 func startReplicaGroup(t *testing.T, n int) *replicaHarness {
 	t.Helper()
+	return startWrappedGroup(t, n, nil)
+}
+
+func startWrappedGroup(t *testing.T, n int, wrap func(i int, next wire.Handler) wire.Handler) *replicaHarness {
+	t.Helper()
 	h := &replicaHarness{
 		t:     t,
 		lns:   make([]net.Listener, n),
 		dirs:  make([]*Server, n),
 		wires: make([]*wire.Server, n),
+		wrap:  wrap,
 	}
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -70,7 +81,11 @@ func (h *replicaHarness) start(i int) {
 		HeartbeatInterval: testBeat,
 		LeaseTimeout:      testLease,
 	})
-	ws := wire.NewServer(h.lns[i], d.Handler())
+	hd := d.Handler()
+	if h.wrap != nil {
+		hd = h.wrap(i, hd)
+	}
+	ws := wire.NewServer(h.lns[i], hd)
 	go ws.Serve()
 	d.Start()
 	h.dirs[i] = d
@@ -559,5 +574,206 @@ func TestMutationOnBackupRedirects(t *testing.T) {
 			t.Fatalf("backup accepted a mutation: %v", resp.ErrorOf())
 		}
 		return string(resp.Node) == h.addrs[0]
+	})
+}
+
+// TestReplicateFansOutToAllBackups holds backup 1's answer to each
+// forwarded op until backup 2 has received the same op. A primary that
+// forwards to one backup after another sends nothing to backup 2 while
+// backup 1 is unanswered, so it can break the hold only by giving up on
+// backup 1, which cancels that forward; a primary that forwards to every
+// backup at once never has to.
+func TestReplicateFansOutToAllBackups(t *testing.T) {
+	var mu sync.Mutex
+	reached := make(map[int64]chan struct{}) // closed once backup 2 has the op
+	gate := func(seq int64) chan struct{} {
+		mu.Lock()
+		defer mu.Unlock()
+		if reached[seq] == nil {
+			reached[seq] = make(chan struct{})
+		}
+		return reached[seq]
+	}
+	var abandoned atomic.Int64
+	h := startWrappedGroup(t, 3, func(i int, next wire.Handler) wire.Handler {
+		return func(ctx context.Context, m wire.Message, p *wire.Peer) wire.Message {
+			if m.Method == wire.MethodReplicate {
+				switch i {
+				case 1:
+					select {
+					case <-gate(m.Num):
+					case <-ctx.Done(): // the primary gave up on this forward
+						abandoned.Add(1)
+					}
+				case 2:
+					ch := gate(m.Num)
+					mu.Lock()
+					select {
+					case <-ch:
+					default:
+						close(ch)
+					}
+					mu.Unlock()
+				}
+			}
+			return next(ctx, m, p)
+		}
+	})
+	waitFor(t, "initial primary", func() bool { return h.dirs[0].Primary(0) })
+	ctx := ctxT(t)
+	c := h.client("n1")
+	for i := 0; i < 3; i++ {
+		if err := c.PutStarted(ctx, types.ObjectIDFromString(fmt.Sprintf("fanout-%d", i)), 64); err != nil {
+			t.Fatalf("PutStarted %d: %v", i, err)
+		}
+	}
+	if n := abandoned.Load(); n > 0 {
+		t.Fatalf("primary abandoned %d forwards to backup 1: backup 2 got no op until backup 1 answered", n)
+	}
+	_, seq := h.dirs[0].ShardSeq(0)
+	for _, b := range []int{1, 2} {
+		if _, got := h.dirs[b].ShardSeq(0); got != seq {
+			t.Fatalf("backup %d at seq %d after acknowledged ops, primary at %d", b, got, seq)
+		}
+	}
+}
+
+// TestPromotionAfterOnlyLaterBackupApplied covers the interleaving that
+// forwarding to all backups at once makes common: the primary dies after
+// the later backup in group order has applied op N but before the earlier
+// one has. The later backup holds the better (epoch, seq) and must win the
+// promotion, every acknowledged op must survive, and the earlier backup
+// must be re-synced to the new primary's state.
+func TestPromotionAfterOnlyLaterBackupApplied(t *testing.T) {
+	var lost atomic.Int64 // the seq backup 1 never applies from the first primary
+	h := startWrappedGroup(t, 3, func(i int, next wire.Handler) wire.Handler {
+		if i != 1 {
+			return next
+		}
+		return func(ctx context.Context, m wire.Message, p *wire.Peer) wire.Message {
+			if m.Gen == 1 { // the first primary's epoch
+				switch {
+				case m.Method == wire.MethodReplicate && m.Num == lost.Load():
+					<-ctx.Done() // held until the first primary's connection dies
+					return wire.Message{Err: "test: forward lost"}
+				case m.Method == wire.MethodDirSnapshot:
+					// No repair from the first primary either: backup 1 must
+					// reach the promotion one op behind backup 2.
+					return wire.Message{Err: "test: snapshot refused"}
+				}
+			}
+			return next(ctx, m, p)
+		}
+	})
+	waitFor(t, "initial primary", func() bool { return h.dirs[0].Primary(0) })
+	ctx := ctxT(t)
+	c := h.client("n1")
+	acked := make([]types.ObjectID, 3)
+	for i := range acked {
+		acked[i] = types.ObjectIDFromString(fmt.Sprintf("acked-%d", i))
+		if err := c.PutStarted(ctx, acked[i], int64(100+i)); err != nil {
+			t.Fatalf("PutStarted %d: %v", i, err)
+		}
+	}
+	epoch, seq := h.dirs[0].ShardSeq(0)
+	if epoch != 1 {
+		t.Fatalf("first primary at epoch %d, want 1", epoch)
+	}
+	waitFor(t, "backups at the acknowledged seq", func() bool {
+		_, s1 := h.dirs[1].ShardSeq(0)
+		_, s2 := h.dirs[2].ShardSeq(0)
+		return s1 == seq && s2 == seq
+	})
+	lost.Store(seq + 1)
+
+	// Op N goes to the primary on a raw connection, so no client retries
+	// it onto the successor: it is never acknowledged.
+	conn, err := tcpDial(ctx, h.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := wire.NewClient(conn, nil)
+	t.Cleanup(func() { wc.Close() })
+	last := types.ObjectIDFromString("only-later")
+	call := wc.Go(wire.Message{Method: wire.MethodPutStarted, OID: last, Node: "n1", Size: 7})
+	waitFor(t, "backup 2 applies op N", func() bool {
+		_, s := h.dirs[2].ShardSeq(0)
+		return s == seq+1
+	})
+	h.kill(0)
+	if resp, err := call.Wait(ctx); err == nil && resp.ErrorOf() == nil {
+		t.Fatal("op N acknowledged while backup 1 had not applied it")
+	}
+
+	waitFor(t, "backup 2 promotion", func() bool { return h.dirs[2].Primary(0) })
+	if h.dirs[1].Primary(0) {
+		t.Fatal("backup 1 promoted over backup 2, which applied more of the history")
+	}
+	if _, s := h.dirs[2].ShardSeq(0); s < seq+1 {
+		t.Fatalf("promoted replica at seq %d, want at least %d", s, seq+1)
+	}
+	for i, oid := range acked {
+		rec, err := c.Lookup(ctx, oid, false)
+		if err != nil || rec.Size != int64(100+i) || len(rec.Locs) != 1 {
+			t.Fatalf("acknowledged op %d lost after promotion: %+v err %v", i, rec, err)
+		}
+	}
+	// Backup 1 is re-synced by the new primary and serves its state.
+	sizes := map[types.ObjectID]int64{last: 7}
+	for i, oid := range acked {
+		sizes[oid] = int64(100 + i)
+	}
+	waitFor(t, "backup 1 converges on the new primary", func() bool {
+		e1, s1 := h.dirs[1].ShardSeq(0)
+		e2, s2 := h.dirs[2].ShardSeq(0)
+		if e1 != e2 || s1 != s2 {
+			return false
+		}
+		for oid, size := range sizes {
+			resp := rawCall(t, h.addrs[1], wire.Message{Method: wire.MethodLookup, OID: oid})
+			if resp.ErrorOf() != nil || resp.Size != size || len(resp.Locs) != 1 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestBootQueryRacesMapPush runs Start's boot query while a map push
+// replaces the replica's group. With one P the boot goroutine has not run
+// when the push lands, so under -race a boot query that reads the group
+// without s.mu is reported.
+func TestBootQueryRacesMapPush(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	boot := types.ClusterMap{Epoch: 1, NumShards: 1, DirRF: 2, ObjectRF: 1, Members: []types.Member{
+		{Addr: "boot-self:1", State: types.MemberActive, ShardHost: true},
+		{Addr: "boot-peer:1", State: types.MemberActive, ShardHost: true},
+	}}
+	s := NewReplicated(Config{
+		Self:   "boot-self:1",
+		Groups: boot.DeriveGroups(),
+		Dial: func(context.Context, string) (net.Conn, error) {
+			return nil, errors.New("unreachable")
+		},
+		HeartbeatInterval: testBeat,
+		LeaseTimeout:      testLease,
+		InitialMap:        &boot,
+		RepairInterval:    -1,
+	})
+	t.Cleanup(s.Close)
+	next := boot.Clone()
+	next.Epoch = 2
+	s.Start()
+	s.mu.Lock()
+	after := s.installMapLocked(next)
+	s.mu.Unlock()
+	for _, fn := range after {
+		fn()
+	}
+	waitFor(t, "boot query", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		r := s.reps[0]
+		return r != nil && r.booted
 	})
 }

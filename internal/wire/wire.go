@@ -309,43 +309,71 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Call sends m and waits for the matching response or ctx cancellation.
-func (c *Client) Call(ctx context.Context, m Message) (Message, error) {
-	ch := make(chan Message, 1)
+// Pending is one call in flight: Go enqueues the request and Wait collects
+// the response, so a caller can put one request on several connections
+// before it waits on any of them, as net/rpc's Client.Go does.
+type Pending struct {
+	c     *Client
+	req   Message
+	ch    chan Message
+	start time.Time
+	rtt   func(time.Duration)
+	err   error
+}
+
+// Go enqueues m and returns at once; its Wait yields the response.
+func (c *Client) Go(m Message) Pending {
+	p := Pending{c: c, ch: make(chan Message, 1)}
 	c.mu.Lock()
 	if c.closed != nil {
-		err := c.closed
+		p.err = c.closed
 		c.mu.Unlock()
-		return Message{}, err
+		return p
 	}
 	c.nextID++
 	m.ID = c.nextID
-	c.pending[m.ID] = ch
-	rttFn := c.rtt
+	c.pending[m.ID] = p.ch
+	p.rtt = c.rtt
 	c.mu.Unlock()
 
-	start := time.Now()
+	p.req = m
+	p.start = time.Now()
 	if err := c.b.enqueue(&m); err != nil {
 		c.mu.Lock()
 		delete(c.pending, m.ID)
 		c.mu.Unlock()
-		return Message{}, fmt.Errorf("wire: send: %w", err)
+		p.err = fmt.Errorf("wire: send: %w", err)
 	}
+	return p
+}
 
+// Call sends m and waits for the matching response or ctx cancellation.
+func (c *Client) Call(ctx context.Context, m Message) (Message, error) {
+	p := c.Go(m)
+	return p.Wait(ctx)
+}
+
+// Wait blocks until the call's response arrives or ctx is done. Call it
+// once per Pending.
+func (p *Pending) Wait(ctx context.Context) (Message, error) {
+	if p.err != nil {
+		return Message{}, p.err
+	}
+	c := p.c
 	select {
-	case resp := <-ch:
+	case resp := <-p.ch:
 		if e := resp.ErrorOf(); e != nil && (errors.Is(e, types.ErrNodeDown) || errors.Is(e, types.ErrClosed)) && resp.Method == MethodNone {
 			return resp, e
 		}
-		if rttFn != nil {
-			rttFn(time.Since(start))
+		if p.rtt != nil {
+			p.rtt(time.Since(p.start))
 		}
 		return resp, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		if _, ok := c.pending[m.ID]; ok {
-			delete(c.pending, m.ID)
-			c.abandoned[m.ID] = m
+		if _, ok := c.pending[p.req.ID]; ok {
+			delete(c.pending, p.req.ID)
+			c.abandoned[p.req.ID] = p.req
 			c.mu.Unlock()
 			// Tell the server to cancel the in-flight handler (best
 			// effort, off this goroutine so a congested connection cannot
@@ -353,7 +381,7 @@ func (c *Client) Call(ctx context.Context, m Message) (Message, error) {
 			// race against a handler that just granted something; the
 			// late response then lands in the orphan callback, which
 			// undoes the grant.
-			go c.sendCancel(m.ID)
+			go c.sendCancel(p.req.ID)
 			return Message{}, ctx.Err()
 		}
 		orphanFn := c.orphan
@@ -361,9 +389,9 @@ func (c *Client) Call(ctx context.Context, m Message) (Message, error) {
 		// The response raced our cancellation and is already in flight on
 		// ch (readLoop removed the pending entry before we did); surface
 		// it to the orphan callback so its effects are undone.
-		resp := <-ch
+		resp := <-p.ch
 		if orphanFn != nil {
-			go orphanFn(m, resp)
+			go orphanFn(p.req, resp)
 		}
 		return Message{}, ctx.Err()
 	}

@@ -74,6 +74,34 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	}
 }
 
+// TestGoSendsBeforeWait enqueues two calls from one goroutine before
+// waiting on either. The handler answers only once both requests are in,
+// so the calls complete only if Go put each on the wire without waiting.
+func TestGoSendsBeforeWait(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	h := func(ctx context.Context, m Message, p *Peer) Message {
+		arrived.Done()
+		arrived.Wait()
+		return Message{Size: m.Size * 2}
+	}
+	c, _ := startPair(t, h)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	calls := []Pending{c.Go(Message{Size: 1}), c.Go(Message{Size: 2})}
+	for i := len(calls) - 1; i >= 0; i-- { // the wait order does not matter
+		resp, err := calls[i].Wait(ctx)
+		if err != nil || resp.Size != int64(2*(i+1)) {
+			t.Fatalf("call %d: size %d err %v", i, resp.Size, err)
+		}
+	}
+	c.Close()
+	late := c.Go(Message{Size: 3})
+	if _, err := late.Wait(ctx); err == nil {
+		t.Fatal("Go on a closed client succeeded")
+	}
+}
+
 func TestServerPush(t *testing.T) {
 	var peerMu sync.Mutex
 	var peer *Peer
