@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"hoplite/internal/core"
+	"hoplite/internal/netem"
 	"hoplite/internal/types"
 )
 
@@ -233,8 +235,12 @@ func TestDelete(t *testing.T) {
 }
 
 // TestDeleteEvictsPastDeadHolder deletes an object held on four nodes, one
-// of them dead. Every holder is sent its eviction before any answer is
-// awaited, and the dead one must not keep the live copies in place.
+// of them dead and one behind a slow link. The dead holder must not keep
+// the live copies in place, and every holder must be sent its eviction
+// before any answer is awaited: the holders after the slow one in the
+// directory's order lose their copies while the slow one's eviction is
+// still on the wire. A Delete that waited on each holder in turn would
+// reach them only after the slow one had answered.
 func TestDeleteEvictsPastDeadHolder(t *testing.T) {
 	ctx := testCtx(t)
 	c := startCluster(t, 5, Options{Emulate: slowEmu()})
@@ -256,12 +262,44 @@ func TestDeleteEvictsPastDeadHolder(t *testing.T) {
 	if err := c.KillNode(2); err != nil {
 		t.Fatal(err)
 	}
-	// The dead holder's failed eviction may be reported; the test is about
-	// the others.
-	_ = c.Node(4).Delete(ctx, oid)
-	for _, i := range []int{0, 1, 3} {
-		if c.Node(i).Store().Contains(oid) {
-			t.Fatalf("node %d still holds its copy after the Delete", i)
+	// Slow the deleter's link to the first live holder it will evict.
+	rec, err := c.Node(4).Directory().Lookup(ctx, oid, false)
+	if err != nil {
+		t.Fatalf("Lookup: %v", err)
+	}
+	slow := -1
+	var fast []int
+	for _, loc := range rec.Locs {
+		i := slices.IndexFunc(c.Nodes(), func(n *core.Node) bool { return n.ID() == loc.Node })
+		switch {
+		case i == 2 || i < 0:
+		case slow < 0:
+			slow = i
+		default:
+			fast = append(fast, i)
 		}
+	}
+	if slow < 0 || len(fast) != 2 {
+		t.Fatalf("directory lists %+v, want the three live holders", rec.Locs)
+	}
+	if err := c.SetPairLink(4, slow, netem.LinkConfig{Latency: 500 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		// The dead holder's failed eviction may be reported; the test is
+		// about the others.
+		_ = c.Node(4).Delete(ctx, oid)
+	}()
+	waitCond(t, "the holders after the slow one to drop their copies", func() bool {
+		return !c.Node(fast[0]).Store().Contains(oid) && !c.Node(fast[1]).Store().Contains(oid)
+	})
+	if !c.Node(slow).Store().Contains(oid) {
+		t.Fatalf("node %d dropped its copy before the holders after it: the evictions went out one at a time", slow)
+	}
+	<-done
+	if c.Node(slow).Store().Contains(oid) {
+		t.Fatalf("node %d still holds its copy after the Delete", slow)
 	}
 }

@@ -181,13 +181,13 @@ func (r *replica) hasPeers(self string) bool {
 	return false
 }
 
-// Start launches the replication goroutines: a boot-time state query per
-// replica (so a restarted one rejoins as a backup instead of split-braining
-// the shard), the primary heartbeat loop, the backup promotion monitor, and
-// — when membership is enabled — the re-replication scanner. With
-// membership on, the loops run even when this server hosts no replica yet:
-// map installs create replicas dynamically and the per-tick scans pick
-// them up. It is a no-op for a standalone server.
+// Start launches the replication goroutines: a boot-time state query (so
+// a restarted replica rejoins as a backup instead of split-braining the
+// shard), the primary heartbeat loop, the backup promotion monitor, and —
+// when membership is enabled — the re-replication scanner. With membership
+// on, the loops run even when this server hosts no replica yet: map
+// installs create replicas dynamically and the per-tick scans pick them
+// up. It is a no-op for a standalone server.
 func (s *Server) Start() {
 	s.mu.Lock()
 	reps := make([]*replica, 0, len(s.reps))
@@ -204,9 +204,14 @@ func (s *Server) Start() {
 	if len(reps) == 0 && !membership {
 		return
 	}
-	for _, r := range reps {
+	if len(reps) > 0 {
 		s.wg.Add(1)
-		go func(r *replica) { defer s.wg.Done(); s.bootQuery(r) }(r)
+		go func() {
+			defer s.wg.Done()
+			for _, r := range reps {
+				s.bootQuery(r)
+			}
+		}()
 	}
 	s.wg.Add(2)
 	go func() { defer s.wg.Done(); s.heartbeatLoop() }()
@@ -877,7 +882,10 @@ func (s *Server) monitorLoop() {
 // among them, with the earlier group index breaking ties. Comparing
 // state — not just liveness — means an empty restarted replica can never
 // claim a shard over a synced survivor, while the best-synced survivor
-// is never blocked by a live-but-stale peer.
+// is never blocked by a live-but-stale peer. Replicas that hold no op
+// hold the same empty state whatever epoch each has heard of, so the
+// group order alone ranks them: a fresh shard whose first primary dies
+// before its first beat reached every backup is still succeeded in order.
 func (s *Server) checkPromotion(r *replica) {
 	s.mu.Lock()
 	if s.closed || r.primary || !r.booted || time.Since(r.lastBeat) < s.cfg.LeaseTimeout {
@@ -891,8 +899,8 @@ func (s *Server) checkPromotion(r *replica) {
 	query := wire.Message{Method: wire.MethodDirHeartbeat, Offset: int64(r.shard), Num: -1} // state query
 	s.mu.Unlock()
 	for _, p := range s.fanOut(peers, query) {
-		if p.err != nil {
-			continue // dead or unreachable: not a contender
+		if p.err != nil || p.resp.Err != "" {
+			continue // dead, unreachable or not hosting the shard: not a contender
 		}
 		resp := p.resp
 		if resp.Complete && resp.Gen >= myEpoch {
@@ -909,7 +917,11 @@ func (s *Server) checkPromotion(r *replica) {
 			s.mu.Unlock()
 			return
 		}
-		if better(resp.Gen, resp.Num, p.idx, myEpoch, mySeq, myIdx) {
+		gen, mine := resp.Gen, myEpoch
+		if resp.Num == 0 && mySeq == 0 {
+			gen, mine = 0, 0 // both empty: rank by index
+		}
+		if better(gen, resp.Num, p.idx, mine, mySeq, myIdx) {
 			// A live, better-synced replica exists: the shard is its to
 			// claim. Give it a lease period to do so.
 			s.mu.Lock()
@@ -964,48 +976,31 @@ func (s *Server) pushSnapshot(r *replica, addr string) {
 	if len(cur) > 0 || len(chunks) == 0 {
 		chunks = append(chunks, cur)
 	}
+	// The entry chunks go first (the first one clears the backup's shard),
+	// then the dedupe section (Num2 1) and the cluster-map section (Num2
+	// 2) if any; the last frame completes the push.
+	sections := make([]int64, len(chunks), len(chunks)+2)
+	if len(dedupe) > 0 {
+		chunks, sections = append(chunks, dedupe), append(sections, 1)
+	}
+	if len(mapSec) > 0 {
+		chunks, sections = append(chunks, mapSec), append(sections, 2)
+	}
 	for i, chunk := range chunks {
 		m := wire.Message{
 			Method:   wire.MethodDirSnapshot,
 			Offset:   int64(r.shard),
 			Gen:      epoch,
 			Num:      seq,
+			Num2:     sections[i],
 			Node:     types.NodeID(s.cfg.Self),
 			Payload:  chunk,
 			Wait:     i == 0,
-			Complete: i == len(chunks)-1 && len(dedupe) == 0 && len(mapSec) == 0,
+			Complete: i == len(chunks)-1,
 		}
 		if resp, err := s.callReplica(addr, m); err != nil || resp.ErrorOf() != nil {
 			return
 		}
-	}
-	if len(dedupe) > 0 {
-		m := wire.Message{
-			Method:   wire.MethodDirSnapshot,
-			Offset:   int64(r.shard),
-			Gen:      epoch,
-			Num:      seq,
-			Num2:     1, // dedupe section
-			Node:     types.NodeID(s.cfg.Self),
-			Payload:  dedupe,
-			Complete: len(mapSec) == 0,
-		}
-		if resp, err := s.callReplica(addr, m); err != nil || resp.ErrorOf() != nil {
-			return
-		}
-	}
-	if len(mapSec) > 0 {
-		m := wire.Message{
-			Method:   wire.MethodDirSnapshot,
-			Offset:   int64(r.shard),
-			Gen:      epoch,
-			Num:      seq,
-			Num2:     2, // cluster-map section
-			Node:     types.NodeID(s.cfg.Self),
-			Payload:  mapSec,
-			Complete: true,
-		}
-		_, _ = s.callReplica(addr, m)
 	}
 }
 

@@ -777,3 +777,83 @@ func TestBootQueryRacesMapPush(t *testing.T) {
 		return r != nil && r.booted
 	})
 }
+
+// TestFanOutCountsAnswersPastHungPeer puts a peer that accepts
+// connections but never answers (a stopped process) first in group order,
+// so every group round waits on it for the full forwardTimeout before it
+// reads the later peers' answers under the expired deadline. Those answers
+// came in long before and must still count: the primary never marks the
+// healthy backup down, and the backup, whose lease lapses while the
+// primary waits on the hung peer, finds the primary's answer and never
+// promotes itself past it.
+func TestFanOutCountsAnswersPastHungPeer(t *testing.T) {
+	h := startReplicaGroup(t, 3)
+	waitFor(t, "initial primary", func() bool { return h.dirs[0].Primary(0) })
+	h.kill(0)
+	waitFor(t, "replica 1 promotion", func() bool { return h.dirs[1].Primary(0) })
+
+	var ln net.Listener
+	var err error
+	deadline := time.Now().Add(5 * time.Second)
+	for ln, err = net.Listen("tcp", h.addrs[0]); err != nil; ln, err = net.Listen("tcp", h.addrs[0]) {
+		if time.Now().After(deadline) {
+			t.Fatalf("rebind %s: %v", h.addrs[0], err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var accepted atomic.Int64
+	var held []net.Conn
+	var heldMu sync.Mutex
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			heldMu.Lock()
+			held = append(held, c) // never read, never answered
+			heldMu.Unlock()
+			accepted.Add(1)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		heldMu.Lock()
+		defer heldMu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+
+	primary, backup := h.dirs[1], h.dirs[2]
+	backupDown := func() bool {
+		primary.mu.Lock()
+		defer primary.mu.Unlock()
+		b := primary.reps[0].backups[h.addrs[2]]
+		return b == nil || b.down
+	}
+	follows := func() bool {
+		backup.mu.Lock()
+		defer backup.mu.Unlock()
+		return backup.reps[0].primaryAddr == h.addrs[1]
+	}
+	waitFor(t, "replica 2 following replica 1", func() bool { return follows() && !backupDown() })
+
+	// Each round the primary's heartbeat and the backup's promotion
+	// survey both dial the hung peer afresh, so eight accepts span several
+	// of each.
+	deadline = time.Now().Add(30 * time.Second)
+	for accepted.Load() < 8 {
+		switch {
+		case time.Now().After(deadline):
+			t.Fatalf("only %d rounds reached the hung peer", accepted.Load())
+		case backupDown():
+			t.Fatal("primary marked the answering backup down after a round that waited on the hung peer")
+		case backup.Primary(0):
+			t.Fatal("backup promoted itself past a live primary that answered after the hung peer")
+		case !primary.Primary(0):
+			t.Fatal("primary lost its primaryship")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -353,22 +353,24 @@ func (c *Client) Call(ctx context.Context, m Message) (Message, error) {
 	return p.Wait(ctx)
 }
 
-// Wait blocks until the call's response arrives or ctx is done. Call it
-// once per Pending.
+// Wait blocks until the call's response arrives or ctx is done. A
+// response that has already arrived wins over an expired ctx, so a caller
+// that waits on several calls under one deadline still counts every
+// answer that came in while it waited on a slower one. Call it once per
+// Pending.
 func (p *Pending) Wait(ctx context.Context) (Message, error) {
 	if p.err != nil {
 		return Message{}, p.err
 	}
+	select {
+	case resp := <-p.ch:
+		return p.done(resp)
+	default:
+	}
 	c := p.c
 	select {
 	case resp := <-p.ch:
-		if e := resp.ErrorOf(); e != nil && (errors.Is(e, types.ErrNodeDown) || errors.Is(e, types.ErrClosed)) && resp.Method == MethodNone {
-			return resp, e
-		}
-		if p.rtt != nil {
-			p.rtt(time.Since(p.start))
-		}
-		return resp, nil
+		return p.done(resp)
 	case <-ctx.Done():
 		c.mu.Lock()
 		if _, ok := c.pending[p.req.ID]; ok {
@@ -395,6 +397,19 @@ func (p *Pending) Wait(ctx context.Context) (Message, error) {
 		}
 		return Message{}, ctx.Err()
 	}
+}
+
+// done turns the call's response into Wait's result: the failure that
+// fail injects when the connection dies is an error, anything the server
+// sent is a response.
+func (p *Pending) done(resp Message) (Message, error) {
+	if e := resp.ErrorOf(); e != nil && (errors.Is(e, types.ErrNodeDown) || errors.Is(e, types.ErrClosed)) && resp.Method == MethodNone {
+		return resp, e
+	}
+	if p.rtt != nil {
+		p.rtt(time.Since(p.start))
+	}
+	return resp, nil
 }
 
 func (c *Client) sendCancel(id uint64) {

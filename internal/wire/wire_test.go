@@ -102,6 +102,29 @@ func TestGoSendsBeforeWait(t *testing.T) {
 	}
 }
 
+// TestWaitPrefersArrivedResponse waits on calls whose answers came in
+// before their ctx expired, as a fan-out does on the peers after a slow
+// one. Every answer must be returned; a Wait that let the expired ctx win
+// would fail each call about half the time.
+func TestWaitPrefersArrivedResponse(t *testing.T) {
+	c, _ := startPair(t, func(ctx context.Context, m Message, p *Peer) Message {
+		return Message{Size: m.Size * 2}
+	})
+	calls := make([]Pending, 16)
+	for i := range calls {
+		calls[i] = c.Go(Message{Size: int64(i)})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	<-ctx.Done() // the answers are long in by now
+	for i := range calls {
+		resp, err := calls[i].Wait(ctx)
+		if err != nil || resp.Size != int64(2*i) {
+			t.Fatalf("call %d answered before its deadline: size %d err %v", i, resp.Size, err)
+		}
+	}
+}
+
 func TestServerPush(t *testing.T) {
 	var peerMu sync.Mutex
 	var peer *Peer
