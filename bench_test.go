@@ -3,7 +3,7 @@ package hoplite_test
 // One benchmark per paper table/figure (§5, Appendices A, B), each
 // regenerating the corresponding experiment at the quick scale, plus
 // microbenchmarks for the hot primitives. Run the full-fidelity versions
-// with cmd/hoplite-bench. See EXPERIMENTS.md for paper-vs-measured notes.
+// with cmd/hoplite-bench. The scale model is internal/bench's Scale.
 
 import (
 	"bytes"

@@ -7,7 +7,8 @@
 //	hoplite-bench -fig 7 -nodes 4,8,12,16
 //	hoplite-bench -fig 15 -quick
 //
-// See EXPERIMENTS.md for the scale model and expected shapes.
+// The scale model (object sizes divided down, a shaped loopback fabric) is
+// internal/bench's Scale.
 package main
 
 import (

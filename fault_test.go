@@ -201,6 +201,99 @@ func TestReduceParticipantFailure(t *testing.T) {
 	}
 }
 
+// TestReadersRideRootRestart starts a remote Get and a remote GetRefAsync
+// of a reduce target and kills a participant once the first epoch's bytes
+// reach a reader. The failure restarts the
+// tree up to its root, which re-creates the target in place under a new
+// generation (§3.5.2, Figure 5b). Both readers must return the restarted
+// reduce's sum, never bytes of the superseded epoch, and never a deletion.
+func TestReadersRideRootRestart(t *testing.T) {
+	ctx := testCtx(t)
+	// Nodes 1-7 hold the sources; nodes 0 (the coordinator) and 8 hold
+	// none, so neither can host the root: both read remotely.
+	c := startCluster(t, 9, Options{Emulate: slowEmu()})
+	const elems = 1 << 20 // 4 MB per object
+	vals := make(map[ObjectID]float64)
+	sources := make([]ObjectID, 0, 7)
+	for i := 1; i <= 7; i++ {
+		oid := oidOnShard(t, fmt.Sprintf("rride-src-%d", i), c.Size(), 0)
+		xs := make([]float32, elems)
+		for j := range xs {
+			xs[j] = float32(i * 10)
+		}
+		if err := c.Node(i).Put(ctx, oid, types.EncodeF32(xs)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+		vals[oid] = float64(i * 10)
+		sources = append(sources, oid)
+	}
+	target := oidOnShard(t, "rride-out", c.Size(), 0)
+
+	reduceDone := make(chan error, 1)
+	var used []ObjectID
+	go func() {
+		var err error
+		used, err = c.Node(0).Reduce(ctx, target, sources, 6, SumF32)
+		reduceDone <- err
+	}()
+	waitExecutors(t, c, 3, 1)
+	type result struct {
+		data []byte
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		data, err := c.Node(0).Get(ctx, target)
+		got <- result{data, err}
+	}()
+	fut := c.Node(8).GetRefAsync(ctx, target)
+	// Kill once node 0 holds bytes of the first epoch, so the restart
+	// supersedes a copy mid-stream.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if buf, ok := c.Node(0).Store().Get(target); ok && buf.Watermark() > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node 0 never received bytes of the target")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := c.KillNode(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-reduceDone; err != nil {
+		t.Fatalf("Reduce with failure: %v", err)
+	}
+	var want float64
+	for _, src := range used {
+		want += vals[src]
+	}
+	check := func(who string, raw []byte) {
+		t.Helper()
+		xs := types.DecodeF32(raw)
+		if len(xs) != elems {
+			t.Fatalf("%s: %d elements, want %d", who, len(xs), elems)
+		}
+		for j, x := range xs {
+			if float64(x) != want {
+				t.Fatalf("%s: elem %d = %v, want %v (a superseded epoch's bytes)", who, j, x, want)
+			}
+		}
+	}
+	r := <-got
+	if r.err != nil {
+		t.Fatalf("node 0 Get across the restart: %v", r.err)
+	}
+	check("node 0 Get", r.data)
+	ref, err := fut.Await(ctx)
+	if err != nil {
+		t.Fatalf("node 8 GetRefAsync across the restart: %v", err)
+	}
+	defer ref.Release()
+	check("node 8 GetRefAsync", ref.Bytes())
+}
+
 // TestReduceRejoin kills a participant when there is no spare source
 // (m == n); the reduce must block until the "task" re-executes (the source
 // is re-Put elsewhere) and then complete — the paper's rejoin behaviour.

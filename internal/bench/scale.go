@@ -5,8 +5,7 @@
 // sizes are scaled down by a constant divisor so the whole suite runs on
 // one machine in minutes. Absolute numbers therefore differ from the
 // paper; the shapes (which system wins, by what factor, where crossovers
-// sit) are what the harness is built to reproduce. EXPERIMENTS.md records
-// paper-vs-measured for every experiment.
+// sit) are what the harness is built to reproduce.
 package bench
 
 import (

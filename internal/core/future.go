@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"hoplite/internal/types"
 )
@@ -118,7 +117,7 @@ func (n *Node) GetRefAsync(ctx context.Context, oid types.ObjectID) *Future[*Obj
 		f.complete(nil, ctx.Err())
 	})
 	f.subscribe(func(*ObjectRef, error) { stop() })
-	n.driveGetRef(ctx, oid, f, time.Now().Add(deleteGrace))
+	n.driveGetRef(ctx, oid, f)
 	return f
 }
 
@@ -132,9 +131,8 @@ func resolveRef(f *Future[*ObjectRef], ref *ObjectRef) {
 
 // driveGetRef is one attempt of the async state machine behind
 // GetRefAsync. It mirrors GetRef: fast path on a local complete copy,
-// otherwise acquire + watcher, with transient deletions re-driven inside
-// the deleteGrace window.
-func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*ObjectRef], deadline time.Time) {
+// otherwise acquire + watcher, with the local races re-driven.
+func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*ObjectRef]) {
 	if buf, ok := n.store.Acquire(oid); ok {
 		if buf.Complete() {
 			resolveRef(f, newRef(oid, buf))
@@ -145,25 +143,25 @@ func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*O
 	go func() {
 		buf, err := n.ensureLocal(ctx, oid)
 		if err != nil {
-			n.asyncRetry(ctx, oid, f, deadline, err)
+			n.asyncRetry(ctx, oid, f, err)
 			return
 		}
 		buf.OnDone(func(err error) {
 			if err != nil {
-				n.asyncRetry(ctx, oid, f, deadline, err)
+				n.asyncRetry(ctx, oid, f, err)
 				return
 			}
 			pinned, ok := n.store.Acquire(oid)
 			if !ok {
 				// Evicted between sealing and pinning: transient, re-pull.
-				n.asyncRetry(ctx, oid, f, deadline, types.ErrAborted)
+				n.asyncRetry(ctx, oid, f, types.ErrAborted)
 				return
 			}
 			if !pinned.Complete() {
 				// The entry was replaced by a newer generation still
 				// filling; re-drive and wait on the replacement.
 				pinned.Unref()
-				n.asyncRetry(ctx, oid, f, deadline, types.ErrAborted)
+				n.asyncRetry(ctx, oid, f, types.ErrAborted)
 				return
 			}
 			resolveRef(f, newRef(oid, pinned))
@@ -171,28 +169,18 @@ func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*O
 	}()
 }
 
-// asyncRetry is retryTransient for the watcher-driven path: a transient
-// deletion error waits for the object's re-creation on the same directory
-// watch GetRef uses, bounded by the grace deadline, then re-drives the get;
-// anything else, or the grace window expiring, resolves the future with
+// asyncRetry is retryTransient for the watcher-driven path: a local race
+// (ErrAborted) re-drives the get; anything else resolves the future with
 // the error.
-func (n *Node) asyncRetry(ctx context.Context, oid types.ObjectID, f *Future[*ObjectRef], deadline time.Time, err error) {
+func (n *Node) asyncRetry(ctx context.Context, oid types.ObjectID, f *Future[*ObjectRef], err error) {
 	if f.isResolved() {
 		return
 	}
-	transient := errors.Is(err, types.ErrDeleted) || errors.Is(err, types.ErrAborted)
-	if !transient || ctx.Err() != nil || time.Now().After(deadline) {
+	if !errors.Is(err, types.ErrAborted) || ctx.Err() != nil {
 		f.complete(nil, err)
 		return
 	}
-	go func() {
-		wctx, cancel := context.WithDeadline(ctx, deadline)
-		n.awaitRecreation(oid)(wctx)
-		cancel()
-		if !f.isResolved() {
-			n.driveGetRef(ctx, oid, f, deadline)
-		}
-	}()
+	n.driveGetRef(ctx, oid, f)
 }
 
 // GetAsync is the future form of Get: it resolves to a private copy of

@@ -837,7 +837,7 @@ func (n *Node) serveBuffer(ctx context.Context, oid types.ObjectID) (transport.P
 		n.mu.Lock()
 		_, pulling := n.pulls[oid]
 		n.mu.Unlock()
-		if !pulling && n.tombstonedSince(oid, time.Now().Add(-deleteGrace)) {
+		if !pulling && n.tombstonedSince(oid, time.Now().Add(-tombstoneTTL)) {
 			return transport.Payload{}, types.ErrDeleted
 		}
 		if time.Now().After(deadline) {

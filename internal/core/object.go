@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hoplite/internal/buffer"
-	"hoplite/internal/directory"
 	"hoplite/internal/types"
 	"hoplite/internal/wire"
 )
@@ -40,36 +39,18 @@ func (n *Node) Put(ctx context.Context, oid types.ObjectID, data []byte) error {
 	return w.Seal()
 }
 
-// deleteGrace is how long Get-style operations keep retrying after
-// observing ErrDeleted. An object can be transiently deleted and
-// re-created during reduce failure recovery (a failed root slot's target
-// output is invalidated and re-produced by the replacement, §3.5.2);
-// receivers ride through the window instead of surfacing a spurious error.
-const deleteGrace = 1500 * time.Millisecond
-
-// retryTransient runs op, retrying while it fails with a transient
-// deletion error (ErrDeleted/ErrAborted) inside the deleteGrace window.
-// Any other error, a ctx cancellation, or the window expiring surfaces
-// the last error. Every Get-shaped operation shares this one loop.
-// Between attempts it blocks on await — an event-driven wakeup tied to
-// the object's directory record — instead of a fixed-period poll, so a
-// re-created object is retried the moment its first location registers.
-func retryTransient[T any](ctx context.Context, await func(context.Context), op func() (T, error)) (T, error) {
-	deadline := time.Now().Add(deleteGrace)
+// retryTransient runs op until it fails with anything but ErrAborted, the
+// one error a Get-shaped call retries: a local race with the store, where
+// the buffer an attempt used was retired, replaced by a new generation or
+// evicted before it could be pinned. Each attempt starts from the store's
+// current entry, which the retired one has left, so ctx alone bounds the
+// loop. A Delete is final: ErrDeleted surfaces at once.
+func retryTransient[T any](ctx context.Context, op func() (T, error)) (T, error) {
 	for {
 		v, err := op()
-		if err == nil {
-			return v, nil
-		}
-		if !errors.Is(err, types.ErrDeleted) && !errors.Is(err, types.ErrAborted) {
+		if !errors.Is(err, types.ErrAborted) {
 			return v, err
 		}
-		if time.Now().After(deadline) {
-			return v, err
-		}
-		wctx, cancel := context.WithDeadline(ctx, deadline)
-		await(wctx)
-		cancel()
 		if ctx.Err() != nil {
 			var zero T
 			return zero, ctx.Err()
@@ -77,38 +58,9 @@ func retryTransient[T any](ctx context.Context, await func(context.Context), op 
 	}
 }
 
-// awaitRecreation returns the wakeup used by retryTransient: a directory
-// watch on oid that fires on the next record change (normally the
-// re-creation's PutStarted). If the record already shows life again — or
-// the directory is unreachable — it returns immediately (the retry loop's
-// grace deadline still bounds the overall wait).
-func (n *Node) awaitRecreation(oid types.ObjectID) func(context.Context) {
-	return func(ctx context.Context) {
-		ch := make(chan struct{}, 1)
-		rec, cancelWatch, err := n.dir.Watch(ctx, oid, func(directory.Update) {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
-		})
-		if err != nil && !errors.Is(err, types.ErrDeleted) {
-			return
-		}
-		defer cancelWatch()
-		if err == nil && (len(rec.Locs) > 0 || rec.Inline != nil) {
-			return // re-created between the failure and the watch
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-		}
-	}
-}
-
-// getBuffer returns a complete local buffer for oid, retrying across
-// transient deletions.
+// getBuffer returns a complete local buffer for oid.
 func (n *Node) getBuffer(ctx context.Context, oid types.ObjectID) (*buffer.Buffer, error) {
-	return retryTransient(ctx, n.awaitRecreation(oid), func() (*buffer.Buffer, error) {
+	return retryTransient(ctx, func() (*buffer.Buffer, error) {
 		buf, err := n.ensureLocal(ctx, oid)
 		if err != nil {
 			return nil, err
@@ -139,18 +91,19 @@ func (n *Node) GetRef(ctx context.Context, oid types.ObjectID) (*ObjectRef, erro
 }
 
 func (n *Node) getRefSlow(ctx context.Context, oid types.ObjectID) (*ObjectRef, error) {
-	return retryTransient(ctx, n.awaitRecreation(oid), func() (*ObjectRef, error) {
-		if _, err := n.ensureLocal(ctx, oid); err != nil {
+	return retryTransient(ctx, func() (*ObjectRef, error) {
+		local, err := n.ensureLocal(ctx, oid)
+		if err != nil {
 			return nil, err
 		}
 		// Re-acquire through the store so the pin is atomic with the
 		// lookup: ensureLocal's buffer may already have been replaced by
 		// a re-creation, and a complete copy could be evicted between the
 		// pull finishing and the pin landing — Acquire pins whatever entry
-		// is current, and a miss is treated as transient.
+		// is current, and a miss is transient unless the buffer failed.
 		buf, ok := n.store.Acquire(oid)
 		if !ok {
-			return nil, types.ErrAborted
+			return nil, failedOr(local, types.ErrAborted)
 		}
 		if err := buf.WaitComplete(ctx); err != nil {
 			buf.Unref()
@@ -166,7 +119,7 @@ func (n *Node) getRefSlow(ctx context.Context, oid types.ObjectID) (*ObjectRef, 
 // It is a compat shim over the ref machinery: the store entry is pinned
 // for the duration of the copy-out.
 func (n *Node) Get(ctx context.Context, oid types.ObjectID) ([]byte, error) {
-	return retryTransient(ctx, n.awaitRecreation(oid), func() ([]byte, error) { return n.getOnce(ctx, oid) })
+	return retryTransient(ctx, func() ([]byte, error) { return n.getOnce(ctx, oid) })
 }
 
 func (n *Node) getOnce(ctx context.Context, oid types.ObjectID) ([]byte, error) {
@@ -176,9 +129,10 @@ func (n *Node) getOnce(ctx context.Context, oid types.ObjectID) ([]byte, error) 
 	}
 	// Pin the buffer we are streaming from, so neither eviction nor a
 	// Delete's recycling takes its array mid-copy. One already retired
-	// (deleted, possibly re-created since) is a transient miss.
+	// fails with its own error, and a sealed one (a copy deleted or
+	// replaced after it completed) is a transient miss.
 	if !buf.TryRef() {
-		return nil, types.ErrAborted
+		return nil, failedOr(buf, types.ErrAborted)
 	}
 	defer buf.Unref()
 	out := make([]byte, buf.Size())
@@ -222,6 +176,21 @@ func (n *Node) WaitLocal(ctx context.Context, oid types.ObjectID) error {
 	return err
 }
 
+// failedOr returns buf's failure, or err when it has none.
+func failedOr(buf *buffer.Buffer, err error) error {
+	if ferr := buf.Failed(); ferr != nil {
+		return ferr
+	}
+	return err
+}
+
+// tombstoneTTL is how long a tombstone is kept once more than 1024 are
+// held. It must outlast an inline acquire in flight when the deletion
+// landed: one directory round trip, plus a few failover backoffs when a
+// shard primary dies. Longer costs CPU: past 1024 tombstones every
+// noteTombstone scans them all.
+const tombstoneTTL = 1500 * time.Millisecond
+
 // noteTombstone records that oid was deleted cluster-wide as observed by
 // this node (EvictLocal fan-out, a deletion seen by a pull, or its own
 // Delete call). The inline fast path consults it: an inline payload whose
@@ -236,7 +205,7 @@ func (n *Node) noteTombstone(oid types.ObjectID) {
 	}
 	if len(n.tombs) > 1024 {
 		for k, t := range n.tombs {
-			if now.Sub(t) > deleteGrace {
+			if now.Sub(t) > tombstoneTTL {
 				delete(n.tombs, k)
 			}
 		}
@@ -255,7 +224,11 @@ func (n *Node) tombstonedSince(oid types.ObjectID, since time.Time) bool {
 }
 
 // Delete removes every copy of the object cluster-wide (Table 1). The
-// directory entry is tombstoned and each holding node evicts its copy.
+// directory entry is tombstoned and each holding node evicts its copy. A
+// Delete is final: a Get overlapping it returns the object or ErrDeleted,
+// and only a later Put re-creates it. (A restarted reduce root does not
+// delete its partial target; it re-creates it in place under a new
+// generation.)
 func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 	locs, err := n.dir.Delete(ctx, oid)
 	if err != nil {

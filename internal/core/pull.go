@@ -327,7 +327,9 @@ func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 			n.noteTombstone(pl.oid)
 			n.store.Delete(pl.oid)
 			o = abortedAlive
-		} else if n.ctx.Err() != nil || errors.Is(err, types.ErrClosed) {
+		} else if buf.Failed() != nil || n.ctx.Err() != nil || errors.Is(err, types.ErrClosed) {
+			// Stopped on this side (the buffer was replaced or failed, or
+			// the node is closing): the sender is not at fault.
 			o = abortedAlive
 		}
 		src.done(o)
@@ -336,14 +338,13 @@ func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 }
 
 // rebindLease reconciles the buffer with a lease taken after a round died,
-// at the start of the next round: a re-creation with a different size
-// replaces the buffer, and a new generation at the same size discards the
-// stale prefix (§3.5.2).
+// at the start of the next round. A re-creation, under a new generation or
+// at a new size, makes the bytes so far stale (§3.5.2): a fresh buffer
+// replaces them in the store, and the old one fails, so its local readers
+// and the pulls it serves start over from the replacement.
 func (n *Node) rebindLease(pl *pullPlan, lease directory.Lease) error {
-	switch {
-	case lease.Size != pl.buf.Size():
-		n.store.Delete(pl.oid)
-		nb, err := n.store.Create(pl.oid, lease.Size, false)
+	if lease.Gen != pl.gen || lease.Size != pl.buf.Size() {
+		nb, err := n.store.Replace(pl.oid, lease.Size, false)
 		if err != nil {
 			return err
 		}
@@ -352,8 +353,6 @@ func (n *Node) rebindLease(pl *pullPlan, lease directory.Lease) error {
 		pl.p.buf = nb
 		n.mu.Unlock()
 		pl.buf = nb
-	case lease.Gen != pl.gen:
-		pl.buf.Reset(0)
 	}
 	pl.gen = lease.Gen
 	return nil

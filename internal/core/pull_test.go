@@ -184,8 +184,8 @@ func TestPlanStripedSurvivorsReclaim(t *testing.T) {
 }
 
 // (c) When every source dies, next is consulted; the lease it brings
-// rebinds the buffer: a new generation resets the prefix, a new size
-// replaces the buffer.
+// rebinds the buffer: a new generation or a new size replaces it, and the
+// replaced buffer fails with ErrAborted, so its readers retry.
 func TestPlanNextRebinds(t *testing.T) {
 	n := testNode(t)
 	data := testPayload(6_000, 3)
@@ -216,7 +216,7 @@ func TestPlanNextRebinds(t *testing.T) {
 	if len(b.claims) != 1 || b.claims[0] != [2]int64{0, 0} {
 		t.Fatalf("new-generation source fetched %v, want a full pull from 0 (stale prefix discarded)", b.claims)
 	}
-	if !errors.Is(old.Failed(), types.ErrDeleted) {
+	if !errors.Is(old.Failed(), types.ErrAborted) {
 		t.Fatalf("replaced buffer not failed: %v", old.Failed())
 	}
 	if pl.p.buf != pl.buf || pl.buf == old {

@@ -167,7 +167,8 @@ func (n *Node) handleReduceStart(m wire.Message) wire.Message {
 // startReduceSlot starts (or, on an epoch bump, replaces) a slot
 // executor; it returns nil for a stale or duplicate start. Replacement is
 // how ancestors of a failed slot "clear the reduced object" and restart
-// (§3.5.2, Figure 5b).
+// (§3.5.2, Figure 5b): a non-root slot's new epoch writes a new private
+// output, and a new root re-creates the target in place.
 func (n *Node) startReduceSlot(spec *reduceSpec) (*reduceExec, error) {
 	key := execKey{reduceID: spec.ReduceID, slot: spec.Slot}
 	ctx, cancel := context.WithCancel(n.ctx)
@@ -197,17 +198,13 @@ func (n *Node) startReduceSlot(spec *reduceSpec) (*reduceExec, error) {
 		if old != nil {
 			// Wait out the superseded executor (off the node lock) before
 			// touching its output: for the root slot both epochs share the
-			// target OutputOID, so a dying executor still inside its
-			// store.Create/Delete sequence would otherwise clobber the
-			// replacement's freshly created buffer and wedge the reduce.
+			// target OutputOID, so a dying executor still creating its
+			// buffer would otherwise clobber the replacement's and wedge
+			// the reduce.
 			select {
 			case <-old.done:
 			case <-n.ctx.Done():
 				return
-			}
-			// Drop the superseded epoch's output so its readers abort.
-			if old.out == nil {
-				n.store.Delete(old.spec.OutputOID)
 			}
 			old.retire()
 		}
@@ -265,27 +262,38 @@ func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 // runReduceSlot runs one slot to its end: the root creates and registers
 // the target, any other slot fills the private output it was started
 // with, and a fold that fails fails the output, so its reader stops too.
+//
+// A restarted root (epoch > 1) re-creates the target in place, never
+// through a Delete: its fresh buffer replaces the superseded epoch's in
+// the store, and its registration starts a new generation that drops
+// every other copy and lease. A reader of the old epoch's bytes fails
+// over onto the new ones; no reader ever sees the target deleted.
 func (n *Node) runReduceSlot(e *reduceExec) {
 	spec, out := e.spec, e.out
 	if spec.IsRoot {
 		var err error
-		out, err = n.store.Create(spec.OutputOID, spec.Size, true)
-		if errors.Is(err, types.ErrExists) {
-			// Residue from a canceled epoch; replace it.
-			n.store.Delete(spec.OutputOID)
-			out, err = n.store.Create(spec.OutputOID, spec.Size, true)
-		}
+		// Replace, not Create: the store may hold the superseded epoch's
+		// buffer, or residue of a canceled run.
+		out, err = n.store.Replace(spec.OutputOID, spec.Size, true)
 		if err != nil {
 			return
 		}
 		n.signalStoreChange()
-		if err := n.dir.PutStarted(e.ctx, spec.OutputOID, spec.Size); err != nil {
+		register := n.dir.PutStarted
+		if spec.Epoch > 1 {
+			register = n.dir.Supersede
+		}
+		if err := register(e.ctx, spec.OutputOID, spec.Size); err != nil {
 			out.Fail(err)
 			return
 		}
 	}
 	if err := n.fold(e.ctx, spec, out); err != nil {
-		out.Fail(err)
+		// %v, not %w: the failure is final for this output, and only a
+		// restart's replacement revives the slot. Its readers must match
+		// the cause neither as a deletion (a child's retired output) nor
+		// as a local race they should retry.
+		out.Fail(fmt.Errorf("core: reduce slot %d: %v", spec.Slot, err))
 		return
 	}
 	out.Seal()
@@ -908,15 +916,10 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 				restart[s] = true
 			}
 		}
-		// The root's restart deletes the partial target, waking any reader
-		// blocked on it. A restarted intermediate gets a fresh ID at its new
-		// epoch, and its host drops the superseded output when the new epoch
-		// replaces the executor. tryAssign resends the specs.
-		if restart[root] {
-			dctx, cancel := n.rpcCtx()
-			_ = n.Delete(dctx, target)
-			cancel()
-		}
+		// A restarted intermediate gets a fresh ID at its new epoch, and its
+		// host drops the superseded output when the new epoch replaces the
+		// executor. A restarted root re-creates the target in place under a
+		// new generation (runReduceSlot). tryAssign resends the specs.
 		for s := range restart {
 			epoch[s]++
 		}

@@ -497,6 +497,15 @@ func (c *Client) PutStarted(ctx context.Context, oid types.ObjectID, size int64)
 	return err
 }
 
+// Supersede registers this node's fresh partial copy as the only holder of
+// a new generation of oid: every other location and lease is dropped, and
+// nothing is tombstoned, so readers of the old generation re-acquire onto
+// this copy (a restarted reduce root re-creating its target, §3.5.2).
+func (c *Client) Supersede(ctx context.Context, oid types.ObjectID, size int64) error {
+	_, err := c.call(ctx, wire.Message{Method: wire.MethodPutStarted, OID: oid, Node: c.self, Size: size, Gen: 1})
+	return err
+}
+
 // PutComplete upgrades this node's location to complete.
 func (c *Client) PutComplete(ctx context.Context, oid types.ObjectID) error {
 	_, err := c.call(ctx, wire.Message{Method: wire.MethodPutComplete, OID: oid, Node: c.self})

@@ -434,6 +434,44 @@ func TestGenerationBumpsOnRecreate(t *testing.T) {
 	}
 }
 
+// TestSupersedeStartsNewGeneration re-creates an object in place, as a
+// restarted reduce root does: the re-creator becomes the only location
+// under a new generation, with no tombstone, and a stale report from a
+// reader whose lease the re-creation dropped cannot drop the re-creator.
+func TestSupersedeStartsNewGeneration(t *testing.T) {
+	cs := startShard(t, "root", "r1", "r2")
+	ctx := ctxT(t)
+	oid := types.ObjectIDFromString("x")
+	if err := cs[0].PutStarted(ctx, oid, 10); err != nil {
+		t.Fatal(err)
+	}
+	old, err := cs[1].AcquireSender(ctx, oid, false) // r1 reads the old epoch
+	if err != nil || old.Sender != "root" {
+		t.Fatalf("acquire: %+v %v", old, err)
+	}
+	if err := cs[0].Supersede(ctx, oid, 10); err != nil {
+		t.Fatal(err)
+	}
+	// r1's transfer of the old epoch fails and blames the root.
+	if err := cs[1].AbortTransfer(ctx, oid, "root", true); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := cs[2].Lookup(ctx, oid, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Locs) != 1 || rec.Locs[0].Node != "root" || rec.Locs[0].Progress != types.ProgressPartial {
+		t.Fatalf("locations after the re-creation: %+v, want the root's partial copy alone", rec.Locs)
+	}
+	cur, err := cs[1].AcquireSender(ctx, oid, false)
+	if err != nil || cur.Sender != "root" {
+		t.Fatalf("re-acquire: %+v %v", cur, err)
+	}
+	if cur.Gen == old.Gen {
+		t.Fatal("the re-creation kept the old generation")
+	}
+}
+
 func TestSubscribeNotifications(t *testing.T) {
 	cs := startShard(t, "pub", "sub")
 	ctx := ctxT(t)

@@ -294,10 +294,11 @@ func (s *Server) runAfterUnlock(fns []func()) {
 	}()
 }
 
-// promoteLocked makes r the shard primary: bump the succession epoch,
-// replay the buffered log tail in sequence order (this is the committed
-// suffix the dead primary forwarded before dying), and wake every blocked
-// call so it re-evaluates against the new role. It returns the notify
+// promoteLocked makes r the shard primary: bump the succession epoch
+// (callers first raise r.epoch to the highest epoch they saw), replay the
+// buffered log tail in sequence order (this is the committed suffix the
+// dead primary forwarded before dying), and wake every blocked call so it
+// re-evaluates against the new role. It returns the notify
 // closures produced by the replay, to run outside the lock.
 func (s *Server) promoteLocked(r *replica) []func() {
 	r.primary = true
@@ -898,11 +899,13 @@ func (s *Server) checkPromotion(r *replica) {
 	peers := s.peersLocked(r, false, nil)
 	query := wire.Message{Method: wire.MethodDirHeartbeat, Offset: int64(r.shard), Num: -1} // state query
 	s.mu.Unlock()
+	seen := myEpoch // the highest epoch any answer reported
 	for _, p := range s.fanOut(peers, query) {
 		if p.err != nil || p.resp.Err != "" {
 			continue // dead, unreachable or not hosting the shard: not a contender
 		}
 		resp := p.resp
+		seen = max(seen, resp.Gen)
 		if resp.Complete && resp.Gen >= myEpoch {
 			// A live primary exists; its heartbeat just has not reached
 			// us yet. Adopt it and renew the lease.
@@ -935,6 +938,9 @@ func (s *Server) checkPromotion(r *replica) {
 		s.mu.Unlock()
 		return
 	}
+	// Promote past every epoch the survey saw (the view-change rule of
+	// Viewstamped Replication), so no two primaries ever share an epoch.
+	r.epoch = max(r.epoch, seen)
 	notifies := s.promoteLocked(r)
 	s.mu.Unlock()
 	for _, fn := range notifies {

@@ -857,3 +857,42 @@ func TestFanOutCountsAnswersPastHungPeer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPromotionPassesHighestSeenEpoch surveys a peer that answers as a
+// backup at epoch 1 with no ops applied, from a replica at epoch 0 that
+// heads the group order. Both are empty, so the index ranks them and the
+// replica promotes; it must promote past the epoch the survey saw (2), not
+// to its own epoch + 1 (1), which the peer's epoch already names.
+func TestPromotionPassesHighestSeenEpoch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := wire.NewServer(ln, func(_ context.Context, m wire.Message, _ *wire.Peer) wire.Message {
+		return wire.Message{Gen: 1} // not primary, epoch 1, seq 0
+	})
+	go peer.Serve()
+	t.Cleanup(func() { peer.Close() })
+	self := "self:1"
+	s := NewReplicated(Config{
+		Self:              self,
+		Groups:            [][]string{{self, ln.Addr().String()}},
+		Dial:              tcpDial,
+		HeartbeatInterval: testBeat,
+		LeaseTimeout:      testLease,
+	})
+	t.Cleanup(s.Close)
+	// Not started: the survey below is the only group round.
+	r := s.reps[0]
+	r.booted = true
+	r.lastBeat = time.Now().Add(-time.Second)
+	s.checkPromotion(r)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !r.primary {
+		t.Fatal("the head of the group order did not promote")
+	}
+	if r.epoch != 2 {
+		t.Fatalf("promoted to epoch %d, want 2: one past the peer's epoch 1", r.epoch)
+	}
+}

@@ -400,6 +400,15 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 			e.deleted = false
 			e.inline = nil
 		}
+		if m.Gen != 0 {
+			// A re-creation in place (a restarted reduce root, §3.5.2): every
+			// earlier copy and lease belongs to the superseded generation.
+			// Their holders learn it when their transfer fails and the
+			// re-acquire reports the new generation.
+			clear(e.prog)
+			clear(e.leasedTo)
+			clear(e.deps)
+		}
 		if len(e.prog) == 0 {
 			e.gen++
 		}
@@ -505,11 +514,13 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 		}
 		if e.leasedTo[m.Sender] == m.Node {
 			delete(e.leasedTo, m.Sender)
+			// Only a live lease vouches for the report: once a re-creation
+			// dropped it, the sender may already hold the new generation.
+			if m.Complete {
+				delete(e.prog, m.Sender)
+			}
 		}
 		delete(e.deps, m.Node)
-		if m.Complete {
-			delete(e.prog, m.Sender)
-		}
 		e.wake()
 		return resp, true, s.notifyLocked(m.OID, e)
 

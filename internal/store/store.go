@@ -159,20 +159,46 @@ func (s *Store) Create(oid types.ObjectID, size int64, pinned bool) (*buffer.Buf
 // the object and sender count so every leased sender has a range to
 // claim.
 func (s *Store) CreateChunked(oid types.ObjectID, size, chunk int64, pinned bool) (*buffer.Buffer, error) {
+	buf, _, err := s.create(oid, size, chunk, pinned, false)
+	return buf, err
+}
+
+// Replace is Create for a re-created object, a new generation of oid
+// (§3.5.2): an existing entry is swapped for the fresh buffer in one step,
+// then fails with types.ErrAborted and is retired, so a reader of the old
+// buffer retries and finds the new one in its place.
+func (s *Store) Replace(oid types.ObjectID, size int64, pinned bool) (*buffer.Buffer, error) {
+	buf, old, err := s.create(oid, size, 0, pinned, true)
+	if old != nil {
+		old.Fail(types.ErrAborted)
+		old.Retire()
+	}
+	return buf, err
+}
+
+// create inserts a fresh buffer for oid. An existing entry is ErrExists,
+// or, with replace, unlinked and returned as old.
+func (s *Store) create(oid types.ObjectID, size, chunk int64, pinned, replace bool) (buf, old *buffer.Buffer, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, types.ErrClosed
+		return nil, nil, types.ErrClosed
 	}
-	if _, ok := s.objects[oid]; ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("store: %v: %w", oid, types.ErrExists)
+	if o, ok := s.objects[oid]; ok {
+		if !replace {
+			s.mu.Unlock()
+			return nil, nil, fmt.Errorf("store: %v: %w", oid, types.ErrExists)
+		}
+		s.removeLocked(o)
+		delete(s.objects, oid)
+		s.used -= o.buf.Size()
+		old = o.buf
 	}
 	victims := s.makeRoomLocked(size)
-	buf := s.insertLocked(oid, buffer.NewChunked(size, chunk), pinned)
+	buf = s.insertLocked(oid, buffer.NewChunked(size, chunk), pinned)
 	s.mu.Unlock()
 	s.finishEviction(victims)
-	return buf, nil
+	return buf, old, nil
 }
 
 // CreateAdmit is Create with admission backpressure: when the store was

@@ -57,6 +57,30 @@ func TestCreateDuplicate(t *testing.T) {
 	}
 }
 
+// Replace swaps an entry for a fresh buffer in one step: the old buffer
+// fails with ErrAborted (its readers retry onto the new one), and the byte
+// accounting holds the new size only.
+func TestReplace(t *testing.T) {
+	s := New(0, nil)
+	first, err := s.Replace(oid(1), 4, true) // no entry yet: a plain create
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Replace(oid(1), 6, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(first.Failed(), types.ErrAborted) {
+		t.Fatalf("replaced buffer failed with %v, want ErrAborted", first.Failed())
+	}
+	if got, ok := s.Get(oid(1)); !ok || got != second || second.Failed() != nil {
+		t.Fatal("the fresh buffer is not the live entry")
+	}
+	if s.Used() != 6 || s.Len() != 1 {
+		t.Fatalf("used %d bytes in %d entries, want 6 in 1", s.Used(), s.Len())
+	}
+}
+
 func TestInsertSealed(t *testing.T) {
 	s := New(0, nil)
 	buf, err := s.InsertSealed(oid(2), []byte("abc"), false)

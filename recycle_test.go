@@ -145,8 +145,9 @@ func TestDeleteRacesReadersRecycling(t *testing.T) {
 				t.Errorf("round %d %s: bytes differ from the object read", r, what)
 			}
 		}
-		// Reads that lose the race to the Delete fail; only their
-		// deadline bounds the wait for a re-creation that never comes.
+		// Reads that lose the race to the Delete fail with ErrDeleted at
+		// once; the deadline only bounds a read the test would otherwise
+		// leave hanging.
 		rctx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
 		getRef := func(n *Node, what string) {
 			defer reads.Done()
