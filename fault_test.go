@@ -201,12 +201,12 @@ func TestReduceParticipantFailure(t *testing.T) {
 	}
 }
 
-// TestReadersRideRootRestart starts a remote Get and a remote GetRefAsync
-// of a reduce target and kills a participant once the first epoch's bytes
-// reach a reader. The failure restarts the
+// TestReadersRideRootRestart starts a remote Get, a remote GetRefAsync and
+// a Get on the root's own host of a reduce target, and kills a participant
+// once the first epoch's bytes reach a reader. The failure restarts the
 // tree up to its root, which re-creates the target in place under a new
-// generation (§3.5.2, Figure 5b). Both readers must return the restarted
-// reduce's sum, never bytes of the superseded epoch, and never a deletion.
+// generation (§3.5.2, Figure 5b). Every reader must return the restarted
+// reduce's sum, never bytes of the superseded epoch, and never an error.
 func TestReadersRideRootRestart(t *testing.T) {
 	ctx := testCtx(t)
 	// Nodes 1-7 hold the sources; nodes 0 (the coordinator) and 8 hold
@@ -237,6 +237,20 @@ func TestReadersRideRootRestart(t *testing.T) {
 		reduceDone <- err
 	}()
 	waitExecutors(t, c, 3, 1)
+	rootHost := -1
+	for deadline := time.Now().Add(15 * time.Second); rootHost < 0; time.Sleep(time.Millisecond) {
+		for i := 1; i <= 7; i++ {
+			if c.Node(i).Store().Contains(target) {
+				rootHost = i
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no node created the target")
+		}
+	}
+	if rootHost == 3 {
+		t.Fatal("the root landed on the node the test kills")
+	}
 	type result struct {
 		data []byte
 		err  error
@@ -245,6 +259,11 @@ func TestReadersRideRootRestart(t *testing.T) {
 	go func() {
 		data, err := c.Node(0).Get(ctx, target)
 		got <- result{data, err}
+	}()
+	atRoot := make(chan result, 1)
+	go func() {
+		data, err := c.Node(rootHost).Get(ctx, target)
+		atRoot <- result{data, err}
 	}()
 	fut := c.Node(8).GetRefAsync(ctx, target)
 	// Kill once node 0 holds bytes of the first epoch, so the restart
@@ -286,12 +305,82 @@ func TestReadersRideRootRestart(t *testing.T) {
 		t.Fatalf("node 0 Get across the restart: %v", r.err)
 	}
 	check("node 0 Get", r.data)
+	if r := <-atRoot; r.err != nil {
+		t.Fatalf("Get on the root's host across the restart: %v", r.err)
+	} else {
+		check("root host Get", r.data)
+	}
 	ref, err := fut.Await(ctx)
 	if err != nil {
 		t.Fatalf("node 8 GetRefAsync across the restart: %v", err)
 	}
 	defer ref.Release()
 	check("node 8 GetRefAsync", ref.Bytes())
+}
+
+// TestReduceTargetCopiesFollowRecord reduces into a target that readers
+// already hold complete copies of, as a root restarted after the first
+// epoch sealed finds it. The new root's registration must evict every
+// such copy before it lists its own: afterwards no node keeps a copy the
+// directory does not list, and every reader gets the new sum.
+func TestReduceTargetCopiesFollowRecord(t *testing.T) {
+	ctx := testCtx(t)
+	c := startCluster(t, 4, Options{})
+	const elems = 1 << 18 // 1 MiB per object
+	put := func(name string, i int, v float32) ObjectID {
+		oid := ObjectIDFromString(name)
+		xs := make([]float32, elems)
+		for j := range xs {
+			xs[j] = v
+		}
+		if err := c.Node(i).Put(ctx, oid, types.EncodeF32(xs)); err != nil {
+			t.Fatalf("Put %s: %v", name, err)
+		}
+		return oid
+	}
+	var first, second []ObjectID
+	for i := 0; i < 4; i++ {
+		first = append(first, put(fmt.Sprintf("follow-a-%d", i), i, 1))
+		second = append(second, put(fmt.Sprintf("follow-b-%d", i), i, 10))
+	}
+	target := ObjectIDFromString("follow-out")
+	sumOn := func(i int) float32 {
+		t.Helper()
+		data, err := c.Node(i).Get(ctx, target)
+		if err != nil {
+			t.Fatalf("node %d Get: %v", i, err)
+		}
+		return types.DecodeF32(data)[elems-1]
+	}
+	if _, err := c.Node(0).Reduce(ctx, target, first, 4, SumF32); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 4; i++ {
+		if got := sumOn(i); got != 4 {
+			t.Fatalf("node %d: first sum %v, want 4", i, got)
+		}
+	}
+	if _, err := c.Node(0).Reduce(ctx, target, second, 4, SumF32); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := c.Node(0).Directory().Lookup(ctx, target, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[NodeID]bool{}
+	for _, l := range rec.Locs {
+		listed[l.Node] = true
+	}
+	for i := 0; i < 4; i++ {
+		if c.Node(i).Store().Contains(target) && !listed[c.Node(i).ID()] {
+			t.Errorf("node %d keeps a copy the directory does not list (%+v)", i, rec.Locs)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		if got := sumOn(i); got != 40 {
+			t.Fatalf("node %d: second sum %v, want 40 (the first reduce's bytes)", i, got)
+		}
+	}
 }
 
 // TestReduceRejoin kills a participant when there is no spare source

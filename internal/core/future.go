@@ -133,12 +133,9 @@ func resolveRef(f *Future[*ObjectRef], ref *ObjectRef) {
 // GetRefAsync. It mirrors GetRef: fast path on a local complete copy,
 // otherwise acquire + watcher, with the local races re-driven.
 func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*ObjectRef]) {
-	if buf, ok := n.store.Acquire(oid); ok {
-		if buf.Complete() {
-			resolveRef(f, newRef(oid, buf))
-			return
-		}
-		buf.Unref()
+	if buf, ok := n.pinComplete(oid); ok {
+		resolveRef(f, newRef(oid, buf))
+		return
 	}
 	go func() {
 		buf, err := n.ensureLocal(ctx, oid)
@@ -151,20 +148,13 @@ func (n *Node) driveGetRef(ctx context.Context, oid types.ObjectID, f *Future[*O
 				n.asyncRetry(ctx, oid, f, err)
 				return
 			}
-			pinned, ok := n.store.Acquire(oid)
-			if !ok {
-				// Evicted between sealing and pinning: transient, re-pull.
-				n.asyncRetry(ctx, oid, f, types.ErrAborted)
+			if pinned, ok := n.pinComplete(oid); ok {
+				resolveRef(f, newRef(oid, pinned))
 				return
 			}
-			if !pinned.Complete() {
-				// The entry was replaced by a newer generation still
-				// filling; re-drive and wait on the replacement.
-				pinned.Unref()
-				n.asyncRetry(ctx, oid, f, types.ErrAborted)
-				return
-			}
-			resolveRef(f, newRef(oid, pinned))
+			// Evicted between sealing and pinning, or replaced by a newer
+			// generation still filling: transient, re-drive.
+			n.asyncRetry(ctx, oid, f, types.ErrAborted)
 		})
 	}()
 }

@@ -595,14 +595,7 @@ func (n *Node) handleCtrl(ctx context.Context, m wire.Message, p *wire.Peer) wir
 		}
 		return resp
 	case wire.MethodEvictLocal:
-		// Record the deletion BEFORE dropping the copy: an inline acquire
-		// racing this fan-out checks the tombstone after inserting, so one
-		// of the two orders always wins (no resurrected copy).
-		n.noteTombstone(m.OID)
-		n.store.Delete(m.OID)
-		if n.spill != nil {
-			n.spill.Remove(m.OID)
-		}
+		n.dropLocal(m)
 		return wire.Message{}
 	case wire.MethodPing:
 		return wire.Message{Method: wire.MethodPing}

@@ -81,13 +81,20 @@ func (n *Node) GetRef(ctx context.Context, oid types.ObjectID) (*ObjectRef, erro
 	// Fast path — the object is local and complete: pin it under the
 	// store lock and hand out a pooled handle. Zero allocations, zero
 	// copies (BenchmarkGetRef asserts this stays true).
-	if buf, ok := n.store.Acquire(oid); ok {
-		if buf.Complete() {
-			return newRef(oid, buf), nil
-		}
-		buf.Unref()
+	if buf, ok := n.pinComplete(oid); ok {
+		return newRef(oid, buf), nil
 	}
 	return n.getRefSlow(ctx, oid)
+}
+
+// pinComplete pins oid's store entry when it is complete.
+func (n *Node) pinComplete(oid types.ObjectID) (*buffer.Buffer, bool) {
+	buf, ok := n.store.Acquire(oid)
+	if ok && !buf.Complete() {
+		buf.Unref()
+		return nil, false
+	}
+	return buf, ok
 }
 
 func (n *Node) getRefSlow(ctx context.Context, oid types.ObjectID) (*ObjectRef, error) {
@@ -234,9 +241,45 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 	if err != nil {
 		return err
 	}
-	n.noteTombstone(oid)
-	// Every holder gets its eviction before any answer is awaited, so a
-	// Delete costs one round trip however many copies there are.
+	m := wire.Message{Method: wire.MethodEvictLocal, OID: oid}
+	n.dropLocal(m)
+	err = n.evict(ctx, locs, m)
+	n.store.Delete(oid) // a copy created after the directory snapshot
+	return err
+}
+
+// dropLocal drops this node's copy of m.OID, in memory and spilled, as an
+// EvictLocal m asks. A deleted copy is tombstoned first: an inline acquire
+// racing the fan-out checks the tombstone after inserting, so one of the
+// two orders always wins (no resurrected copy). A copy a re-creation
+// superseded (Gen set, §3.5.2) is aborted, and the pull filling it
+// unregistered, so local readers retry onto a fresh pull.
+func (n *Node) dropLocal(m wire.Message) {
+	if m.Gen != 0 {
+		if n.store.Abort(m.OID, nil) {
+			n.mu.Lock()
+			if p, ok := n.pulls[m.OID]; ok {
+				select {
+				case <-p.ready: // launched: the aborted buffer was its own
+					delete(n.pulls, m.OID)
+				default:
+				}
+			}
+			n.mu.Unlock()
+		}
+	} else {
+		n.noteTombstone(m.OID)
+		n.store.Delete(m.OID)
+	}
+	if n.spill != nil {
+		n.spill.Remove(m.OID)
+	}
+}
+
+// evict sends m, an EvictLocal, to every holder in locs but this node.
+// Every holder gets its eviction before any answer is awaited, so a
+// fan-out costs one round trip however many copies there are.
+func (n *Node) evict(ctx context.Context, locs []types.Location, m wire.Message) error {
 	type eviction struct {
 		addr string
 		c    *wire.Client
@@ -244,11 +287,10 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 	}
 	var buf [4]eviction
 	evs := buf[:0]
-	m := wire.Message{Method: wire.MethodEvictLocal, OID: oid, Epoch: n.mapEpoch()}
+	m.Epoch = n.mapEpoch()
 	var firstErr error
 	for _, loc := range locs {
 		if loc.Node == n.id {
-			n.store.Delete(oid)
 			continue
 		}
 		c, err := n.peerCtrl(ctx, string(loc.Node))
@@ -278,10 +320,6 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 		if err != nil && ctx.Err() == nil {
 			n.dropPeer(ev.addr, ev.c)
 		}
-	}
-	n.store.Delete(oid) // cover copies created after the directory snapshot
-	if n.spill != nil {
-		n.spill.Remove(oid)
 	}
 	return firstErr
 }

@@ -39,7 +39,8 @@ type source interface {
 	// to the end when length is 0.
 	fetch(ctx context.Context, buf *buffer.Buffer, off, length int64) error
 	// done reports how the source left the pull; it runs exactly once.
-	done(o outcome)
+	// For releasedComplete it returns the directory's answer (see keep).
+	done(o outcome) error
 }
 
 // outcome is how a source left a pull; done turns it into the matching
@@ -238,7 +239,7 @@ func (n *Node) runPlan(pl *pullPlan) {
 		case pl.buf.Complete():
 			if len(srcs) > 1 { // a striped round's releases did not register the copy
 				ctx, cancel := n.rpcCtx()
-				_ = n.dir.PutComplete(ctx, pl.oid)
+				pl.keep(n.dir.PutComplete(ctx, pl.oid))
 				cancel()
 			}
 			return
@@ -257,7 +258,7 @@ func (n *Node) runPlan(pl *pullPlan) {
 			// and a racing writer may own the store entry by now.
 			if pl.buf.Failed() == nil {
 				pl.buf.Fail(err)
-				n.store.Delete(pl.oid)
+				n.store.Abort(pl.oid, pl.buf)
 			}
 			return
 		}
@@ -304,7 +305,7 @@ func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 				buf.Seal()
 			}
 			if solo && buf.Complete() {
-				src.done(releasedComplete)
+				pl.keep(src.done(releasedComplete))
 			} else {
 				src.done(releasedPartial)
 			}
@@ -344,7 +345,9 @@ func (n *Node) drain(pl *pullPlan, src source, span int64) error {
 // and the pulls it serves start over from the replacement.
 func (n *Node) rebindLease(pl *pullPlan, lease directory.Lease) error {
 	if lease.Gen != pl.gen || lease.Size != pl.buf.Size() {
-		nb, err := n.store.Replace(pl.oid, lease.Size, false)
+		// Only while the entry is still ours: a restarted reduce root on
+		// this node may have replaced it with its target.
+		nb, err := n.store.Replace(pl.oid, pl.buf, lease.Size, false)
 		if err != nil {
 			return err
 		}
@@ -356,6 +359,15 @@ func (n *Node) rebindLease(pl *pullPlan, lease directory.Lease) error {
 	}
 	pl.gen = lease.Gen
 	return nil
+}
+
+// keep drops the finished copy when the directory refused to list it
+// (ErrAborted): a Delete or a re-creation took the lease or location it
+// was pulled under, so its bytes may be a superseded generation's.
+func (pl *pullPlan) keep(err error) {
+	if errors.Is(err, types.ErrAborted) {
+		pl.n.store.Abort(pl.oid, pl.buf)
+	}
 }
 
 // nextLease leases one more sender through the directory, blocking until a
@@ -410,14 +422,13 @@ func (s *peerSource) fetch(ctx context.Context, buf *buffer.Buffer, off, length 
 }
 
 // done is the one place a lease is returned.
-func (s *peerSource) done(o outcome) {
+func (s *peerSource) done(o outcome) error {
 	ctx, cancel := s.n.rpcCtx()
 	defer cancel()
 	if o == releasedPartial || o == releasedComplete {
-		_ = s.n.dir.ReleaseSender(ctx, s.oid, s.sender, o == releasedComplete)
-	} else {
-		_ = s.n.dir.AbortTransfer(ctx, s.oid, s.sender, o == abortedDead)
+		return s.n.dir.ReleaseSender(ctx, s.oid, s.sender, o == releasedComplete)
 	}
+	return s.n.dir.AbortTransfer(ctx, s.oid, s.sender, o == abortedDead)
 }
 
 // spillSource restores the object from this node's spill file. The file
@@ -452,12 +463,13 @@ func (s spillSource) fetch(_ context.Context, buf *buffer.Buffer, off, _ int64) 
 	return nil
 }
 
-func (s spillSource) done(o outcome) {
+func (s spillSource) done(o outcome) error {
 	ctx, cancel := s.n.rpcCtx()
 	defer cancel()
 	switch o {
 	case releasedComplete:
-		_ = s.n.dir.PutComplete(ctx, s.oid) // promote Spilled → Complete
+		// Promote Spilled → Complete; a refusal keeps this node's own file.
+		_ = s.n.dir.PutComplete(ctx, s.oid)
 	case abortedDead:
 		// Only a genuinely unreadable file is dropped (shutdown and a
 		// concurrent Delete abort alive), so the next attempt goes remote
@@ -465,6 +477,7 @@ func (s spillSource) done(o outcome) {
 		s.n.spill.Remove(s.oid)
 		_ = s.n.dir.RemoveLocation(ctx, s.oid)
 	}
+	return nil
 }
 
 // stripeChunk picks the claim-grid granularity for a pull from senders

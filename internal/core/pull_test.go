@@ -30,6 +30,7 @@ type fakeSource struct {
 	claims   [][2]int64 // (off, length) of every fetch
 	fetched  int64      // bytes written
 	outcomes []outcome
+	refuse   error // the directory's answer to a complete release
 }
 
 func (f *fakeSource) fetch(_ context.Context, buf *buffer.Buffer, off, length int64) error {
@@ -62,10 +63,14 @@ func (f *fakeSource) fetch(_ context.Context, buf *buffer.Buffer, off, length in
 	return nil
 }
 
-func (f *fakeSource) done(o outcome) {
+func (f *fakeSource) done(o outcome) error {
 	f.mu.Lock()
 	f.outcomes = append(f.outcomes, o)
 	f.mu.Unlock()
+	if o == releasedComplete {
+		return f.refuse
+	}
+	return nil
 }
 
 // checkDone asserts the source left the pull exactly once, with want.
@@ -229,6 +234,51 @@ func TestPlanNextRebinds(t *testing.T) {
 	a.checkDone(t, "first source", abortedDead)
 	b.checkDone(t, "second source", abortedDead)
 	c.checkDone(t, "resized source", releasedComplete)
+}
+
+// A rebind yields when the store entry is no longer the plan's buffer: a
+// restarted reduce root on this node replaced it with its target while the
+// plan waited for a lease, and the plan must not swap the target out.
+func TestPlanRebindYieldsReplacedEntry(t *testing.T) {
+	n := testNode(t)
+	data := testPayload(4_000, 6)
+	a := &fakeSource{data: data, err: errSenderDied, failAfter: 1_000}
+	pl := testPlan(t, n, "yield", int64(len(data)), 1_000, a)
+	old := pl.buf
+	var target *buffer.Buffer
+	pl.next = func(pl *pullPlan) (source, error) {
+		var err error
+		if target, err = n.store.Replace(pl.oid, nil, int64(len(data)), true); err != nil {
+			t.Fatal(err)
+		}
+		return nil, pl.n.rebindLease(pl, directory.Lease{Size: int64(len(data)), Gen: 2})
+	}
+	n.runPlan(pl)
+
+	if cur, ok := n.store.Get(pl.oid); !ok || cur != target || target.Failed() != nil {
+		t.Fatal("the rebind swapped out the entry that replaced the plan's buffer")
+	}
+	if !errors.Is(old.Failed(), types.ErrAborted) || pl.buf != old {
+		t.Fatalf("plan buffer %v (replaced: %v), want the old buffer failed with ErrAborted", old.Failed(), pl.buf != old)
+	}
+}
+
+// A copy the directory refuses to list once complete (its lease went with
+// a Delete or a re-creation) is dropped from the store.
+func TestPlanRefusedCopyDropped(t *testing.T) {
+	n := testNode(t)
+	data := testPayload(3_000, 7)
+	a := &fakeSource{data: data, refuse: types.ErrAborted}
+	pl := testPlan(t, n, "refused", int64(len(data)), 1_000, a)
+	n.runPlan(pl)
+
+	if !pl.buf.Complete() {
+		t.Fatal("pull did not complete")
+	}
+	if _, ok := n.store.Get(pl.oid); ok {
+		t.Fatal("a refused copy stayed in the store")
+	}
+	a.checkDone(t, "source", releasedComplete)
 }
 
 // (d) A source reporting the object deleted fails the buffer, drops the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hoplite/internal/buffer"
@@ -149,6 +150,8 @@ type reduceExec struct {
 	// completed is set before done closes when the executor sealed its
 	// output and registered it complete in the directory.
 	completed bool
+	// superseded is set before a newer epoch's executor cancels this one.
+	superseded atomic.Bool
 }
 
 // handleReduceStart starts the slot executor a coordinator's spec names.
@@ -191,6 +194,7 @@ func (n *Node) startReduceSlot(spec *reduceSpec) (*reduceExec, error) {
 	// Wake a parent's pull parked on this output before it existed.
 	n.signalStoreChange()
 	if old != nil {
+		old.superseded.Store(true)
 		old.cancel()
 	}
 	n.detach(func() {
@@ -263,36 +267,32 @@ func (n *Node) handleReduceCancel(m wire.Message) wire.Message {
 // the target, any other slot fills the private output it was started
 // with, and a fold that fails fails the output, so its reader stops too.
 //
-// A restarted root (epoch > 1) re-creates the target in place, never
-// through a Delete: its fresh buffer replaces the superseded epoch's in
-// the store, and its registration starts a new generation that drops
-// every other copy and lease. A reader of the old epoch's bytes fails
-// over onto the new ones; no reader ever sees the target deleted.
+// The root re-creates the target in place (registerTarget), never through
+// a Delete: a reader of the old bytes fails over onto the new ones.
 func (n *Node) runReduceSlot(e *reduceExec) {
 	spec, out := e.spec, e.out
+	var err error
 	if spec.IsRoot {
-		var err error
-		// Replace, not Create: the store may hold the superseded epoch's
-		// buffer, or residue of a canceled run.
-		out, err = n.store.Replace(spec.OutputOID, spec.Size, true)
-		if err != nil {
-			return
-		}
-		n.signalStoreChange()
-		register := n.dir.PutStarted
-		if spec.Epoch > 1 {
-			register = n.dir.Supersede
-		}
-		if err := register(e.ctx, spec.OutputOID, spec.Size); err != nil {
-			out.Fail(err)
+		if out, err = n.registerTarget(e.ctx, spec); out == nil {
 			return
 		}
 	}
-	if err := n.fold(e.ctx, spec, out); err != nil {
-		// %v, not %w: the failure is final for this output, and only a
-		// restart's replacement revives the slot. Its readers must match
-		// the cause neither as a deletion (a child's retired output) nor
-		// as a local race they should retry.
+	if err == nil {
+		err = n.fold(e.ctx, spec, out)
+	}
+	if err != nil && spec.IsRoot {
+		// An input fails when a participant dies: wait for the coordinator.
+		// A restart's Replace fails this buffer with ErrAborted, so local
+		// readers move onto the new one; a cancel gives the target up.
+		<-e.ctx.Done()
+		if e.superseded.Load() {
+			return
+		}
+	}
+	if err != nil {
+		// %v, not %w: the failure is final for this output. Its readers
+		// must match the cause neither as a deletion (a child's retired
+		// output) nor as a local race they should retry.
 		out.Fail(fmt.Errorf("core: reduce slot %d: %v", spec.Slot, err))
 		return
 	}
@@ -301,6 +301,27 @@ func (n *Node) runReduceSlot(e *reduceExec) {
 		cctx, cancel := n.rpcCtx()
 		defer cancel()
 		e.completed = n.dir.PutComplete(cctx, spec.OutputOID) == nil
+	}
+}
+
+// registerTarget creates the root's target and registers it as its only
+// copy under a new generation. While other copies are listed, the
+// directory drops them all instead: they are evicted, and a fresh buffer
+// replaces this one, which a reader leased under the old generation may
+// be streaming. No byte is written before the registration, so none
+// reaches such a reader.
+func (n *Node) registerTarget(ctx context.Context, spec *reduceSpec) (*buffer.Buffer, error) {
+	for {
+		out, err := n.store.Replace(spec.OutputOID, nil, spec.Size, true)
+		if err != nil {
+			return nil, err
+		}
+		n.signalStoreChange()
+		stale, err := n.dir.Supersede(ctx, spec.OutputOID, spec.Size)
+		if err != nil || len(stale) == 0 {
+			return out, err
+		}
+		_ = n.evict(ctx, stale, wire.Message{Method: wire.MethodEvictLocal, OID: spec.OutputOID, Gen: 1})
 	}
 }
 
@@ -984,7 +1005,11 @@ func (n *Node) reduceTree(ctx context.Context, target types.ObjectID, num int, o
 				return finish(), nil
 			}
 		case <-targetDone:
-			return finish(), nil
+			// A local root reports through rootDone, which names its epoch:
+			// the copy seen here may be a superseded epoch's.
+			if a := assigned[root]; a == nil || a.host != n.id {
+				return finish(), nil
+			}
 		case <-ctx.Done():
 			cleanup()
 			return nil, ctx.Err()

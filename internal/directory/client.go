@@ -498,12 +498,14 @@ func (c *Client) PutStarted(ctx context.Context, oid types.ObjectID, size int64)
 }
 
 // Supersede registers this node's fresh partial copy as the only holder of
-// a new generation of oid: every other location and lease is dropped, and
-// nothing is tombstoned, so readers of the old generation re-acquire onto
-// this copy (a restarted reduce root re-creating its target, §3.5.2).
-func (c *Client) Supersede(ctx context.Context, oid types.ObjectID, size int64) error {
-	_, err := c.call(ctx, wire.Message{Method: wire.MethodPutStarted, OID: oid, Node: c.self, Size: size, Gen: 1})
-	return err
+// a new generation of oid, with nothing tombstoned (a reduce root
+// re-creating its target, §3.5.2). While other copies are listed, a call
+// drops every location and lease and returns the dropped locations
+// instead, for the caller to evict; a call that returns none registered
+// the copy.
+func (c *Client) Supersede(ctx context.Context, oid types.ObjectID, size int64) ([]types.Location, error) {
+	resp, err := c.call(ctx, wire.Message{Method: wire.MethodPutStarted, OID: oid, Node: c.self, Size: size, Gen: 1})
+	return resp.Locs, err
 }
 
 // PutComplete upgrades this node's location to complete.

@@ -435,9 +435,12 @@ func TestGenerationBumpsOnRecreate(t *testing.T) {
 }
 
 // TestSupersedeStartsNewGeneration re-creates an object in place, as a
-// restarted reduce root does: the re-creator becomes the only location
-// under a new generation, with no tombstone, and a stale report from a
-// reader whose lease the re-creation dropped cannot drop the re-creator.
+// restarted reduce root does. The first Supersede drops every other copy
+// and lease and returns the dropped copies for eviction; while they are
+// gone nobody is registered, and a holder whose lease or location the
+// re-creation dropped cannot mark its copy complete. The next Supersede
+// registers the re-creator alone under a new generation, with no
+// tombstone, and a stale report from an old reader cannot drop it.
 func TestSupersedeStartsNewGeneration(t *testing.T) {
 	cs := startShard(t, "root", "r1", "r2")
 	ctx := ctxT(t)
@@ -449,8 +452,32 @@ func TestSupersedeStartsNewGeneration(t *testing.T) {
 	if err != nil || old.Sender != "root" {
 		t.Fatalf("acquire: %+v %v", old, err)
 	}
-	if err := cs[0].Supersede(ctx, oid, 10); err != nil {
+	if err := cs[2].PutStarted(ctx, oid, 10); err != nil { // r2 writes its own copy
 		t.Fatal(err)
+	}
+	dropped, err := cs[0].Supersede(ctx, oid, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[types.NodeID]bool{}
+	for _, l := range dropped {
+		got[l.Node] = true
+	}
+	if len(dropped) != 2 || !got["r1"] || !got["r2"] {
+		t.Fatalf("dropped %+v, want r1 and r2", dropped)
+	}
+	// r1 finishes the old epoch's bytes, r2 its own: neither is listed.
+	if err := cs[1].ReleaseSender(ctx, oid, "root", true); !errors.Is(err, types.ErrAborted) {
+		t.Fatalf("complete release without a lease: %v, want ErrAborted", err)
+	}
+	if err := cs[2].PutComplete(ctx, oid); !errors.Is(err, types.ErrAborted) {
+		t.Fatalf("complete a dropped location: %v, want ErrAborted", err)
+	}
+	if rec, err := cs[2].Lookup(ctx, oid, false); !errors.Is(err, types.ErrNotFound) {
+		t.Fatalf("lookup between the calls: %+v %v, want no location", rec.Locs, err)
+	}
+	if dropped, err := cs[0].Supersede(ctx, oid, 10); err != nil || len(dropped) != 0 {
+		t.Fatalf("second Supersede: dropped %+v, %v", dropped, err)
 	}
 	// r1's transfer of the old epoch fails and blames the root.
 	if err := cs[1].AbortTransfer(ctx, oid, "root", true); err != nil {

@@ -367,10 +367,17 @@ func (s *Server) mutate(m wire.Message) wire.Message {
 		s.mu.Unlock()
 		return resp
 	}
-	resp, mutated, notify := s.applyLocked(m)
+	return s.applyUnlock(rep, m)
+}
+
+// applyUnlock applies a resolved op, sequences and forwards it to the
+// backups when it changed state, and releases s.mu, which the caller
+// holds.
+func (s *Server) applyUnlock(rep *replica, op wire.Message) wire.Message {
+	resp, mutated, notify := s.applyLocked(op)
 	var fwd func() bool
 	if mutated {
-		fwd = s.commitLocked(rep, m, resp)
+		fwd = s.commitLocked(rep, op, resp)
 	}
 	s.mu.Unlock()
 	if fwd != nil && !fwd() {
@@ -402,12 +409,22 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 		}
 		if m.Gen != 0 {
 			// A re-creation in place (a restarted reduce root, §3.5.2): every
-			// earlier copy and lease belongs to the superseded generation.
-			// Their holders learn it when their transfer fails and the
-			// re-acquire reports the new generation.
+			// other copy and lease belongs to the superseded generation. A
+			// call that finds any drops them all and returns them, without
+			// registering the caller, so none is leased out while the
+			// caller evicts the copies; its next call registers it.
+			for node, p := range e.prog {
+				if node != m.Node {
+					resp.Locs = append(resp.Locs, types.Location{Node: node, Progress: p})
+				}
+			}
 			clear(e.prog)
 			clear(e.leasedTo)
 			clear(e.deps)
+			if len(resp.Locs) > 0 {
+				e.wake()
+				return resp, true, s.notifyLocked(m.OID, e)
+			}
 		}
 		if len(e.prog) == 0 {
 			e.gen++
@@ -428,6 +445,12 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 			resp.SetError(types.ErrDeleted)
 			return resp, false, nil
 		}
+		if _, held := e.prog[m.Node]; !held {
+			// The location went with a re-creation (or a purge): the copy
+			// may be of a superseded generation, and its holder drops it.
+			resp.SetError(types.ErrAborted)
+			return resp, false, nil
+		}
 		e.prog[m.Node] = types.ProgressComplete
 		e.wake()
 		return resp, true, s.notifyLocked(m.OID, e)
@@ -440,66 +463,53 @@ func (s *Server) applyLocked(m wire.Message) (resp wire.Message, mutated bool, n
 		e.wake()
 		return resp, true, s.notifyLocked(m.OID, e)
 
-	case wire.MethodAcquire:
+	case wire.MethodAcquire, wire.MethodAcquireMany:
 		e := s.entryLocked(m.OID)
-		if m.Complete {
-			// Inline delivery resolved by the primary (m.Sender empty): the
-			// receiver materializes a complete copy from the payload riding
-			// the reply, so register it like any other holder. A later
-			// Delete's snapshot then includes this receiver and the eviction
-			// fan-out reaches the copy — an inline reply can no longer
-			// resurrect a deleted object.
-			e.prog[m.Node] = types.ProgressComplete
-			resp.Payload = e.inline
-			resp.Size = e.size
-			resp.Gen = e.gen
-			e.wake()
-			return resp, true, s.notifyLocked(m.OID, e)
-		}
-		// m.Sender carries the sender chosen by the primary's resolution.
-		e.leasedTo[m.Sender] = m.Node
-		e.deps[m.Node] = m.Sender
-		if _, held := e.prog[m.Node]; !held {
-			e.prog[m.Node] = types.ProgressPartial
-		}
-		resp.Sender = m.Sender
 		resp.Size = e.size
 		resp.Gen = e.gen
-		return resp, true, s.notifyLocked(m.OID, e)
-
-	case wire.MethodAcquireMany:
-		e := s.entryLocked(m.OID)
-		if m.Complete {
-			// Inline delivery: see the MethodAcquire branch above.
+		switch {
+		case m.Complete:
+			// Inline delivery resolved by the primary (no sender chosen):
+			// the receiver materializes a complete copy from the payload
+			// riding the reply, so register it like any other holder. A
+			// later Delete's snapshot then includes this receiver and the
+			// eviction fan-out reaches the copy — an inline reply can no
+			// longer resurrect a deleted object.
 			e.prog[m.Node] = types.ProgressComplete
 			resp.Payload = e.inline
-			resp.Size = e.size
-			resp.Gen = e.gen
-			e.wake()
-			return resp, true, s.notifyLocked(m.OID, e)
-		}
-		// m.Locs carries the leases chosen by the primary's resolution.
-		for _, l := range m.Locs {
-			e.leasedTo[l.Node] = m.Node
+		case m.Method == wire.MethodAcquire:
+			// m.Sender carries the sender chosen by the primary's resolution.
+			e.leasedTo[m.Sender] = m.Node
+			e.deps[m.Node] = m.Sender
+			resp.Sender = m.Sender
+		default:
+			// m.Locs carries the leases chosen by the primary's resolution.
+			for _, l := range m.Locs {
+				e.leasedTo[l.Node] = m.Node
+			}
+			resp.Locs = m.Locs
 		}
 		if _, held := e.prog[m.Node]; !held {
 			e.prog[m.Node] = types.ProgressPartial
 		}
-		resp.Locs = m.Locs
-		resp.Size = e.size
-		resp.Gen = e.gen
-		e.wake()
+		if m.Complete || m.Method == wire.MethodAcquireMany {
+			e.wake()
+		}
 		return resp, true, s.notifyLocked(m.OID, e)
 
 	case wire.MethodRelease:
 		e := s.entryLocked(m.OID)
 		if e.leasedTo[m.Sender] == m.Node {
 			delete(e.leasedTo, m.Sender)
+			if m.Complete {
+				e.prog[m.Node] = types.ProgressComplete
+			}
+		} else if m.Complete {
+			// A Delete or a re-creation took the lease: the record no
+			// longer lists the copy's generation, and its holder drops it.
+			resp.SetError(types.ErrAborted)
 		}
 		delete(e.deps, m.Node)
-		if m.Complete && !e.deleted {
-			e.prog[m.Node] = types.ProgressComplete
-		}
 		e.wake()
 		return resp, true, s.notifyLocked(m.OID, e)
 
@@ -653,11 +663,8 @@ func (s *Server) applyPurgeLocked(m wire.Message) (wire.Message, bool, func()) {
 				touched = true
 			}
 		}
-		if up, ok := e.deps[node]; ok {
-			// The failed node was fetching from up; return up's lease.
-			if e.leasedTo[up] == node {
-				delete(e.leasedTo, up)
-			}
+		if _, ok := e.deps[node]; ok {
+			// The scan above returned the lease it was fetching under.
 			delete(e.deps, node)
 			touched = true
 		}
@@ -754,41 +761,16 @@ func (s *Server) acquire(ctx context.Context, m wire.Message) wire.Message {
 			// the receiver as a complete-copy holder (replicated op, so the
 			// registration survives failover and Delete's fan-out covers the
 			// copy this response materializes).
-			op := m
-			op.Complete = true // marker: inline delivery, no sender chosen
-			op.Sender = ""
-			resp, _, notify := s.applyLocked(op)
-			fwd := s.commitLocked(rep, op, resp)
-			s.mu.Unlock()
-			if fwd != nil && !fwd() {
-				return s.deposedResp(rep)
-			}
-			if notify != nil {
-				notify()
-			}
-			return resp
+			return s.applyUnlock(rep, inlineOp(m))
 		default:
 			if sender, ok := pickLocked(e, receiver); ok {
 				op := m
 				op.Sender = sender
-				resp, _, notify := s.applyLocked(op)
-				fwd := s.commitLocked(rep, op, resp)
-				s.mu.Unlock()
-				if fwd != nil && !fwd() {
-					return s.deposedResp(rep)
-				}
-				if notify != nil {
-					notify()
-				}
-				return resp
+				return s.applyUnlock(rep, op)
 			}
 		}
 		if !m.Wait {
-			if len(e.prog) == 0 {
-				resp.SetError(types.ErrNotFound)
-			} else {
-				resp.SetError(types.ErrNoSender)
-			}
+			resp.SetError(noSender(e))
 			s.mu.Unlock()
 			return resp
 		}
@@ -836,20 +818,7 @@ func (s *Server) acquireMany(m wire.Message) wire.Message {
 	case e.inline != nil:
 		// Inline fast path: same replicated receiver registration as the
 		// single-sender acquire above.
-		op := m
-		op.Complete = true
-		op.Sender = ""
-		op.Locs = nil
-		resp, _, notify := s.applyLocked(op)
-		fwd := s.commitLocked(rep, op, resp)
-		s.mu.Unlock()
-		if fwd != nil && !fwd() {
-			return s.deposedResp(rep)
-		}
-		if notify != nil {
-			notify()
-		}
-		return resp
+		return s.applyUnlock(rep, inlineOp(m))
 	}
 	var memory, disk []types.NodeID
 	for node, prog := range e.prog {
@@ -875,26 +844,29 @@ func (s *Server) acquireMany(m wire.Message) wire.Message {
 		}
 	}
 	if len(leased) == 0 {
-		if len(e.prog) == 0 {
-			resp.SetError(types.ErrNotFound)
-		} else {
-			resp.SetError(types.ErrNoSender)
-		}
+		resp.SetError(noSender(e))
 		s.mu.Unlock()
 		return resp
 	}
 	op := m
 	op.Locs = leased
-	resp, _, notify := s.applyLocked(op)
-	fwd := s.commitLocked(rep, op, resp)
-	s.mu.Unlock()
-	if fwd != nil && !fwd() {
-		return s.deposedResp(rep)
+	return s.applyUnlock(rep, op)
+}
+
+// inlineOp marks an acquire as an inline delivery: no sender is chosen.
+func inlineOp(m wire.Message) wire.Message {
+	m.Complete = true
+	m.Sender = ""
+	m.Locs = nil
+	return m
+}
+
+// noSender is why an acquire that may not wait found no sender.
+func noSender(e *entry) error {
+	if len(e.prog) == 0 {
+		return types.ErrNotFound
 	}
-	if notify != nil {
-		notify()
-	}
-	return resp
+	return types.ErrNoSender
 }
 
 func (s *Server) lookup(ctx context.Context, m wire.Message) wire.Message {

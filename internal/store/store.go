@@ -159,46 +159,78 @@ func (s *Store) Create(oid types.ObjectID, size int64, pinned bool) (*buffer.Buf
 // the object and sender count so every leased sender has a range to
 // claim.
 func (s *Store) CreateChunked(oid types.ObjectID, size, chunk int64, pinned bool) (*buffer.Buffer, error) {
-	buf, _, err := s.create(oid, size, chunk, pinned, false)
+	buf, _, err := s.create(oid, size, chunk, pinned, false, nil)
 	return buf, err
 }
 
 // Replace is Create for a re-created object, a new generation of oid
-// (§3.5.2): an existing entry is swapped for the fresh buffer in one step,
-// then fails with types.ErrAborted and is retired, so a reader of the old
-// buffer retries and finds the new one in its place.
-func (s *Store) Replace(oid types.ObjectID, size int64, pinned bool) (*buffer.Buffer, error) {
-	buf, old, err := s.create(oid, size, 0, pinned, true)
-	if old != nil {
-		old.Fail(types.ErrAborted)
-		old.Retire()
-	}
+// (§3.5.2): an existing entry is swapped for the fresh buffer in one step
+// and aborted (see Abort). With a non-nil prev the swap happens only while
+// prev is the entry; otherwise Replace returns types.ErrAborted, as the
+// entry belongs to someone else.
+func (s *Store) Replace(oid types.ObjectID, prev *buffer.Buffer, size int64, pinned bool) (*buffer.Buffer, error) {
+	buf, old, err := s.create(oid, size, 0, pinned, true, prev)
+	abort(old)
 	return buf, err
 }
 
+// Abort drops oid's entry when it is buf, or any entry when buf is nil: a
+// copy of a generation that a re-creation superseded. It fails with
+// types.ErrAborted and is retired, so its readers retry and find the
+// store's next entry. It reports whether an entry was dropped.
+func (s *Store) Abort(oid types.ObjectID, buf *buffer.Buffer) bool {
+	s.mu.Lock()
+	old := s.unlinkLocked(oid, buf)
+	s.signalSpaceLocked()
+	s.mu.Unlock()
+	abort(old)
+	return old != nil
+}
+
+func abort(buf *buffer.Buffer) {
+	if buf != nil {
+		buf.Fail(types.ErrAborted)
+		buf.Retire()
+	}
+}
+
 // create inserts a fresh buffer for oid. An existing entry is ErrExists,
-// or, with replace, unlinked and returned as old.
-func (s *Store) create(oid types.ObjectID, size, chunk int64, pinned, replace bool) (buf, old *buffer.Buffer, err error) {
+// or, with replace, unlinked (only while it is prev, when prev is set)
+// and returned as old.
+func (s *Store) create(oid types.ObjectID, size, chunk int64, pinned, replace bool, prev *buffer.Buffer) (buf, old *buffer.Buffer, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, nil, types.ErrClosed
 	}
-	if o, ok := s.objects[oid]; ok {
-		if !replace {
+	if replace {
+		if old = s.unlinkLocked(oid, prev); old == nil && prev != nil {
 			s.mu.Unlock()
-			return nil, nil, fmt.Errorf("store: %v: %w", oid, types.ErrExists)
+			return nil, nil, fmt.Errorf("store: %v replaced: %w", oid, types.ErrAborted)
 		}
-		s.removeLocked(o)
-		delete(s.objects, oid)
-		s.used -= o.buf.Size()
-		old = o.buf
+	}
+	if _, ok := s.objects[oid]; ok {
+		s.mu.Unlock()
+		return nil, nil, fmt.Errorf("store: %v: %w", oid, types.ErrExists)
 	}
 	victims := s.makeRoomLocked(size)
 	buf = s.insertLocked(oid, buffer.NewChunked(size, chunk), pinned)
 	s.mu.Unlock()
 	s.finishEviction(victims)
 	return buf, old, nil
+}
+
+// unlinkLocked removes oid's entry, when it is want or want is nil, and
+// returns its buffer.
+func (s *Store) unlinkLocked(oid types.ObjectID, want *buffer.Buffer) *buffer.Buffer {
+	o, ok := s.objects[oid]
+	if !ok || (want != nil && o.buf != want) {
+		return nil
+	}
+	s.removeLocked(o)
+	delete(s.objects, oid)
+	s.used -= o.buf.Size()
+	return o.buf
 }
 
 // CreateAdmit is Create with admission backpressure: when the store was
@@ -510,18 +542,13 @@ func (s *Store) Unpin(oid types.ObjectID) bool {
 // object was present.
 func (s *Store) Delete(oid types.ObjectID) bool {
 	s.mu.Lock()
-	o, ok := s.objects[oid]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	s.removeLocked(o)
-	delete(s.objects, oid)
-	s.used -= o.buf.Size()
+	old := s.unlinkLocked(oid, nil)
 	s.signalSpaceLocked()
 	s.mu.Unlock()
-	o.buf.Retire()
-	return true
+	if old != nil {
+		old.Retire()
+	}
+	return old != nil
 }
 
 // Contains reports whether the object is present (partial or complete).

@@ -59,16 +59,23 @@ func TestCreateDuplicate(t *testing.T) {
 
 // Replace swaps an entry for a fresh buffer in one step: the old buffer
 // fails with ErrAborted (its readers retry onto the new one), and the byte
-// accounting holds the new size only.
+// accounting holds the new size only. A conditional Replace or Abort
+// leaves an entry that is not the named buffer alone.
 func TestReplace(t *testing.T) {
 	s := New(0, nil)
-	first, err := s.Replace(oid(1), 4, true) // no entry yet: a plain create
+	first, err := s.Replace(oid(1), nil, 4, true) // no entry yet: a plain create
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Replace(oid(1), 6, true)
+	second, err := s.Replace(oid(1), first, 6, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := s.Replace(oid(1), first, 8, true); !errors.Is(err, types.ErrAborted) {
+		t.Fatalf("Replace of a stale entry: %v, want ErrAborted", err)
+	}
+	if s.Abort(oid(1), first) {
+		t.Fatal("Abort dropped an entry that is not the named buffer")
 	}
 	if !errors.Is(first.Failed(), types.ErrAborted) {
 		t.Fatalf("replaced buffer failed with %v, want ErrAborted", first.Failed())
@@ -78,6 +85,9 @@ func TestReplace(t *testing.T) {
 	}
 	if s.Used() != 6 || s.Len() != 1 {
 		t.Fatalf("used %d bytes in %d entries, want 6 in 1", s.Used(), s.Len())
+	}
+	if !s.Abort(oid(1), nil) || !errors.Is(second.Failed(), types.ErrAborted) || s.Len() != 0 || s.Used() != 0 {
+		t.Fatal("Abort did not drop and fail the entry")
 	}
 }
 

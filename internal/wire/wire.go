@@ -50,7 +50,7 @@ const (
 	// Node control plane.
 	MethodReduceStart  // coordinator → participant: run (or replace) a tree slot
 	MethodReduceCancel // coordinator → participant: reduce done, clean up
-	MethodEvictLocal   // delete the local copy of an object (Delete fan-out)
+	MethodEvictLocal   // drop the local copy of an object (Delete fan-out; Gen set: a re-creation superseded it)
 
 	// Misc.
 	MethodPing
