@@ -82,9 +82,6 @@ type Buffer struct {
 	// does not pin the buffer against eviction, but the array is not
 	// recycled while one is open.
 	lent int
-	// resets counts Reset calls; a lend that a Reset overtook publishes
-	// nothing.
-	resets uint64
 	// pooled marks an array taken from internal/pool; escaped marks one
 	// handed out without a pin (it stays with the garbage collector); and
 	// retired marks a buffer its owner has dropped.
@@ -260,22 +257,21 @@ func (b *Buffer) extendLocked(off, n int64, commit bool) {
 // failed, and the range must pass the writer discipline. While any lend is
 // open the array is not recycled, so a Retire racing the writer defers
 // recycling to the lend's end.
-func (b *Buffer) lend(off, n int64) (p []byte, resets uint64, err error) {
+func (b *Buffer) lend(off, n int64) (p []byte, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.err != nil {
-		return nil, 0, b.err
+		return nil, b.err
 	}
 	b.extendLocked(off, n, false)
 	b.lent++
-	return b.data[off : off+n : off+n], b.resets, nil
+	return b.data[off : off+n : off+n], nil
 }
 
 // endLend closes a lend and publishes its range if the writer succeeded
-// (werr nil), the buffer has not failed since, and no Reset overtook the
-// lend; otherwise nothing is published. The last lend of a retired buffer
-// recycles its array.
-func (b *Buffer) endLend(off, n int64, resets uint64, werr error) error {
+// (werr nil) and the buffer has not failed since; otherwise nothing is
+// published. The last lend of a retired buffer recycles its array.
+func (b *Buffer) endLend(off, n int64, werr error) error {
 	var arr []byte
 	defer func() {
 		if arr != nil {
@@ -291,8 +287,6 @@ func (b *Buffer) endLend(off, n int64, resets uint64, werr error) error {
 		return werr
 	case b.err != nil:
 		return b.err
-	case b.resets != resets:
-		return fmt.Errorf("buffer: fill overtaken by reset: %w", types.ErrAborted)
 	}
 	b.extendLocked(off, n, true)
 	return nil
@@ -301,22 +295,22 @@ func (b *Buffer) endLend(off, n int64, resets uint64, werr error) error {
 // Fill lends a writer the backing range [off, off+n) of the payload array:
 // fn writes the range's bytes into p without the buffer lock held, and
 // Fill then publishes the range (advancing the ledger and waking readers)
-// only if fn returned nil, the buffer has not failed, and no Reset ran
-// meanwhile. Otherwise nothing is published, so the range can be filled
-// again, and Fill returns fn's error or the buffer's. A failed buffer
-// returns its error without calling fn. Writers stream sequentially within
-// their range, so off must sit exactly at the fill position of its chunk
-// and any further chunks the range covers must be empty; violations panic
+// only if fn returned nil and the buffer has not failed meanwhile.
+// Otherwise nothing is published, so the range can be filled again, and
+// Fill returns fn's error or the buffer's. A failed buffer returns its
+// error without calling fn. Writers stream sequentially within their
+// range, so off must sit exactly at the fill position of its chunk and
+// any further chunks the range covers must be empty; violations panic
 // (writer bugs). Concurrent Fills on disjoint claimed ranges are safe.
 func (b *Buffer) Fill(off, n int64, fn func(p []byte) error) error {
 	if n == 0 {
 		return nil
 	}
-	p, resets, err := b.lend(off, n)
+	p, err := b.lend(off, n)
 	if err != nil {
 		return err
 	}
-	return b.endLend(off, n, resets, fn(p))
+	return b.endLend(off, n, fn(p))
 }
 
 // WriteAt writes p at off, for writers filling a claimed range: a Fill
@@ -572,42 +566,6 @@ func (b *Buffer) OnDone(fn func(error)) {
 		b.watchers = append(b.watchers, fn)
 		b.mu.Unlock()
 	}
-}
-
-// Reset rewinds a failed buffer so a new writer can retry from offset,
-// keeping the first offset bytes that were already received. It is used
-// when a transfer restarts under a new object generation after a failure.
-// All claims are dropped, as is any non-contiguous striped progress beyond
-// offset. Reset panics if offset exceeds the current watermark. A retired
-// buffer stays failed: its array may already serve another object.
-func (b *Buffer) Reset(offset int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.retired {
-		return
-	}
-	if offset > b.watermark || offset < 0 {
-		panic("buffer: reset past watermark")
-	}
-	for i := range b.fill {
-		cs := int64(i) * b.chunk
-		switch {
-		case cs+b.chunkLen(i) <= offset:
-			b.fill[i] = b.chunkLen(i)
-		case cs < offset:
-			b.fill[i] = offset - cs
-		default:
-			b.fill[i] = 0
-		}
-		b.claimed[i] = false
-	}
-	b.wmChunk = 0
-	b.advanceLocked()
-	b.present = offset
-	b.resets++
-	b.sealed = false
-	b.err = nil
-	b.signalLocked()
 }
 
 // WaitAt blocks until at least off+1 contiguous bytes are available, the

@@ -141,34 +141,6 @@ func TestWaitComplete(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	b := New(6)
-	b.Append([]byte("abcd"))
-	b.Fail(types.ErrAborted)
-	b.Reset(2)
-	if b.Watermark() != 2 || b.Failed() != nil {
-		t.Fatal("reset did not rewind")
-	}
-	if err := b.Append([]byte("XYZD")); err != nil {
-		t.Fatal(err)
-	}
-	b.Seal()
-	if string(b.Bytes()) != "abXYZD" {
-		t.Fatalf("bytes %q", b.Bytes())
-	}
-}
-
-func TestResetPastWatermarkPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	b := New(4)
-	b.Append([]byte("a"))
-	b.Reset(3)
-}
-
 func TestReadAtStreaming(t *testing.T) {
 	b := New(8)
 	ctx := ctxT(t)
@@ -516,28 +488,6 @@ func TestReleaseClaimKeepsPresentChunks(t *testing.T) {
 	}
 }
 
-func TestResetClearsClaimsAndStripes(t *testing.T) {
-	b := NewChunked(12, 4)
-	b.ClaimNext(4)
-	if err := b.WriteAt([]byte("wxyz"), 8); err != nil { // striped tail
-		t.Fatal(err)
-	}
-	if err := b.Append([]byte("abcdef")); err != nil {
-		t.Fatal(err)
-	}
-	b.Fail(types.ErrAborted)
-	b.Reset(5)
-	if b.Watermark() != 5 || b.Present() != 5 || b.Failed() != nil {
-		t.Fatalf("watermark %d present %d err %v", b.Watermark(), b.Present(), b.Failed())
-	}
-	// Claims are gone and the striped tail was dropped: the next claim
-	// starts right at the watermark.
-	off, n, ok := b.ClaimNext(100)
-	if !ok || off != 5 || n != 7 {
-		t.Fatalf("claim (%d,%d,%v), want (5,7,true)", off, n, ok)
-	}
-}
-
 func TestClaimNextOnFailedOrSealed(t *testing.T) {
 	b := NewChunked(4, 4)
 	b.Fail(types.ErrAborted)
@@ -618,22 +568,6 @@ func TestOnDoneFail(t *testing.T) {
 	b.Fail(types.ErrAborted)
 	if len(got) != 2 {
 		t.Fatalf("watcher re-fired: %v", got)
-	}
-}
-
-func TestOnDoneSurvivesReset(t *testing.T) {
-	b := NewChunked(4, 4)
-	b.Append([]byte("ab"))
-	var got []error
-	b.OnDone(func(err error) { got = append(got, err) })
-	b.Reset(0) // new generation restart: watchers must carry over
-	if len(got) != 0 {
-		t.Fatalf("watcher fired on reset: %v", got)
-	}
-	b.Append([]byte("wxyz"))
-	b.Seal()
-	if len(got) != 1 || got[0] != nil {
-		t.Fatalf("watcher calls after post-reset seal: %v", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"hoplite/internal/buffer"
@@ -11,32 +12,32 @@ import (
 )
 
 // Put stores an immutable object (Table 1). Objects below the small-object
-// threshold go inline into the directory (§3.2); larger objects stream
-// through an ObjectWriter in pipeline blocks, with the partial location
-// registered up front so remote receivers can start fetching while the
-// copy is still running (§3.3). The object is pinned locally until Delete.
+// threshold go inline into the directory (§3.2). A larger one is copied
+// into the store and sealed, then registered complete in one directory
+// write, where the Put linearizes: a Delete applied before it is
+// overtaken. A producer whose readers must pipeline off a partial copy
+// (§3.3) streams through Create. The object is pinned locally until Delete.
 func (n *Node) Put(ctx context.Context, oid types.ObjectID, data []byte) error {
-	if int64(len(data)) < n.cfg.InlineThreshold {
+	size := int64(len(data))
+	if size < n.cfg.InlineThreshold {
 		return n.dir.PutInline(ctx, oid, data)
 	}
-	w, err := n.Create(ctx, oid, int64(len(data)))
+	buf, err := n.store.CreateAdmit(ctx, oid, size, true)
 	if err != nil {
-		if errors.Is(err, types.ErrExists) {
-			// Idempotent re-put (e.g. a restarted task re-producing its
-			// output): re-register the existing complete copy.
-			if existing, ok := n.store.Get(oid); ok && existing.Complete() {
-				if err := n.dir.PutStarted(ctx, oid, existing.Size()); err != nil {
-					return err
-				}
-				return n.dir.PutComplete(ctx, oid)
-			}
+		if existing, ok := n.store.Get(oid); errors.Is(err, types.ErrExists) && ok && existing.Complete() {
+			return n.dir.PutSealed(ctx, oid, existing.Size()) // an idempotent re-put, e.g. a restarted task's
 		}
 		return err
 	}
-	if _, err := w.Write(data); err != nil {
-		return err
+	n.signalStoreChange()
+	if err = buf.Append(data); err == nil {
+		buf.Seal()
+		err = n.dir.PutSealed(ctx, oid, size)
 	}
-	return w.Seal()
+	if err != nil {
+		n.unput(oid)
+	}
+	return err
 }
 
 // retryTransient runs op until it fails with anything but ErrAborted, the
@@ -231,9 +232,11 @@ func (n *Node) tombstonedSince(oid types.ObjectID, since time.Time) bool {
 }
 
 // Delete removes every copy of the object cluster-wide (Table 1). The
-// directory entry is tombstoned and each holding node evicts its copy. A
-// Delete is final: a Get overlapping it returns the object or ErrDeleted,
-// and only a later Put re-creates it. (A restarted reduce root does not
+// directory entry is tombstoned and every copy it listed is evicted, this
+// node's included. A Delete is final: a Get overlapping it returns the
+// object or ErrDeleted, and only a Put whose write lands later re-creates
+// it, so a local copy the directory did not list (a Put's, not yet
+// registered) is left to that Put. (A restarted reduce root does not
 // delete its partial target; it re-creates it in place under a new
 // generation.)
 func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
@@ -242,10 +245,10 @@ func (n *Node) Delete(ctx context.Context, oid types.ObjectID) error {
 		return err
 	}
 	m := wire.Message{Method: wire.MethodEvictLocal, OID: oid}
-	n.dropLocal(m)
-	err = n.evict(ctx, locs, m)
-	n.store.Delete(oid) // a copy created after the directory snapshot
-	return err
+	if slices.ContainsFunc(locs, func(l types.Location) bool { return l.Node == n.id }) {
+		n.dropLocal(m)
+	}
+	return n.evict(ctx, locs, m)
 }
 
 // dropLocal drops this node's copy of m.OID, in memory and spilled, as an

@@ -51,7 +51,7 @@ func (n *Node) Create(ctx context.Context, oid types.ObjectID, size int64) (*Obj
 	}
 	n.signalStoreChange()
 	if err := n.dir.PutStarted(ctx, oid, size); err != nil {
-		n.store.Delete(oid)
+		n.unput(oid)
 		return nil, err
 	}
 	return &ObjectWriter{n: n, ctx: ctx, oid: oid, buf: buf, size: size}, nil
@@ -147,8 +147,14 @@ func (w *ObjectWriter) Abort() error {
 func (w *ObjectWriter) teardown(err error) {
 	w.err = err
 	w.done = true
-	w.n.store.Delete(w.oid)
-	rctx, cancel := w.n.rpcCtx()
-	_ = w.n.dir.RemoveLocation(rctx, w.oid)
+	w.n.unput(w.oid)
+}
+
+// unput drops oid's store entry, then its location, best-effort: a
+// directory write whose ctx expired may still have been applied.
+func (n *Node) unput(oid types.ObjectID) {
+	n.store.Delete(oid)
+	rctx, cancel := n.rpcCtx()
+	_ = n.dir.RemoveLocation(rctx, oid)
 	cancel()
 }

@@ -489,11 +489,18 @@ func (c *Client) route(ctx context.Context, shard int, m wire.Message, read bool
 }
 
 // PutStarted registers a partial location: node began creating the object
-// (a local Put copy or an inbound remote transfer). The directory learns
-// the object size here, enabling pipelined downstream fetches before the
-// copy finishes (§3.3).
+// (a streaming Create). The directory learns the object size here,
+// enabling pipelined downstream fetches before the copy finishes (§3.3).
 func (c *Client) PutStarted(ctx context.Context, oid types.ObjectID, size int64) error {
 	_, err := c.call(ctx, wire.Message{Method: wire.MethodPutStarted, OID: oid, Node: c.self, Size: size})
+	return err
+}
+
+// PutSealed registers this node's complete copy of oid in one op: the
+// copy was written and sealed before anyone could read it, so no partial
+// location precedes it.
+func (c *Client) PutSealed(ctx context.Context, oid types.ObjectID, size int64) error {
+	_, err := c.call(ctx, wire.Message{Method: wire.MethodPutStarted, OID: oid, Node: c.self, Size: size, Complete: true})
 	return err
 }
 

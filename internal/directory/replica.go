@@ -104,6 +104,7 @@ type dedupeKey struct {
 type backupState struct {
 	down    bool  // last forward or heartbeat failed; skip until it answers
 	lastSeq int64 // seq the backup reported at the previous heartbeat
+	beatSeq int64 // seq the primary had applied when it sent that heartbeat
 	waiting bool  // backup reported needSync at the previous heartbeat
 }
 
@@ -812,11 +813,13 @@ func (s *Server) beatBackups(r *replica) {
 		if b != nil {
 			b.down = false
 			b.waiting = resp.Wait
-			// Stalled: behind us and no progress since the previous beat.
-			if resp.Num < r.seq && resp.Num == b.lastSeq {
+			// Stalled: no progress since the previous beat, and still short
+			// of what we had applied when we sent it. An op forwarded since
+			// then may simply be in flight.
+			if resp.Num < b.beatSeq && resp.Num == b.lastSeq {
 				needSnapshot = true
 			}
-			b.lastSeq = resp.Num
+			b.lastSeq, b.beatSeq = resp.Num, m.Num
 		}
 		s.mu.Unlock()
 		if needSnapshot {

@@ -896,3 +896,70 @@ func TestPromotionPassesHighestSeenEpoch(t *testing.T) {
 		t.Fatalf("promoted to epoch %d, want 2: one past the peer's epoch 1", r.epoch)
 	}
 }
+
+// TestHeartbeatInFlightOpIsNoStall holds each replicated op at the backup
+// until the backup has answered one heartbeat without it, so the primary
+// sees the backup one op behind at a beat, with no progress since the
+// previous one. The op was forwarded after that previous beat went out,
+// so it is in flight, not stalled: the primary must not push a snapshot.
+func TestHeartbeatInFlightOpIsNoStall(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		beat      = make(chan struct{}) // closed and replaced by each heartbeat the backup answers
+		holding   atomic.Bool
+		snapshots atomic.Int64
+	)
+	h := startWrappedGroup(t, 2, func(i int, next wire.Handler) wire.Handler {
+		if i != 1 {
+			return next
+		}
+		return func(ctx context.Context, m wire.Message, p *wire.Peer) wire.Message {
+			switch m.Method {
+			case wire.MethodReplicate:
+				if holding.Load() {
+					mu.Lock()
+					ch := beat
+					mu.Unlock()
+					select {
+					case <-ch:
+					case <-ctx.Done():
+					}
+				}
+			case wire.MethodDirSnapshot:
+				snapshots.Add(1)
+			}
+			resp := next(ctx, m, p)
+			if m.Method == wire.MethodDirHeartbeat {
+				mu.Lock()
+				close(beat)
+				beat = make(chan struct{})
+				mu.Unlock()
+			}
+			return resp
+		}
+	})
+	primary := h.dirs[0]
+	inSync := func() bool {
+		primary.mu.Lock()
+		defer primary.mu.Unlock()
+		r := primary.reps[0]
+		b := r.backups[h.addrs[1]]
+		return r.primary && b != nil && !b.down && !b.waiting && b.lastSeq == r.seq
+	}
+	waitFor(t, "the backup in sync", inSync)
+	snapshots.Store(0)
+	holding.Store(true)
+	ctx := ctxT(t)
+	c := h.client("n1")
+	for i := 0; i < 5; i++ {
+		if err := c.PutStarted(ctx, types.ObjectIDFromString(fmt.Sprintf("in-flight-%d", i)), 64); err != nil {
+			t.Fatalf("PutStarted %d: %v", i, err)
+		}
+		// A heartbeat sees the backup caught up, so the next op starts
+		// from a beat after which the backup makes no progress.
+		waitFor(t, "a heartbeat to see the op applied", inSync)
+	}
+	if n := snapshots.Load(); n > 0 {
+		t.Fatalf("primary pushed %d snapshots to a backup whose only missing op was in flight", n)
+	}
+}

@@ -30,7 +30,7 @@ const (
 	MethodNone Method = iota
 
 	// Directory service (§3.2).
-	MethodPutStarted  // object creation began on a node: register partial location (Gen != 0: as the only holder of a new generation)
+	MethodPutStarted  // object creation began on a node: register partial location (Complete: a complete one; Gen != 0: as the only holder of a new generation)
 	MethodPutComplete // object fully present on a node: mark complete
 	MethodPutInline   // small-object fast path: store payload in the directory
 	MethodAcquire     // atomically lease a sender location for a receiver
