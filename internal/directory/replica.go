@@ -961,8 +961,10 @@ func (s *Server) pushSnapshot(r *replica, addr string) {
 		return
 	}
 	epoch, seq := r.epoch, r.seq
+	// Each chunk starts empty and grows with the entries it carries, so a
+	// push costs what the shard's state is worth.
 	var chunks [][]byte
-	cur := make([]byte, 0, snapshotChunk)
+	var cur []byte
 	for oid, e := range s.entries {
 		if s.shardOfOID(oid) != r.shard {
 			continue
@@ -970,7 +972,7 @@ func (s *Server) pushSnapshot(r *replica, addr string) {
 		cur = appendSnapshotEntry(cur, oid, e)
 		if len(cur) >= snapshotChunk {
 			chunks = append(chunks, cur)
-			cur = make([]byte, 0, snapshotChunk)
+			cur = nil
 		}
 	}
 	dedupe := appendSnapshotDedupe(nil, r)

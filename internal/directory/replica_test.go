@@ -963,3 +963,35 @@ func TestHeartbeatInFlightOpIsNoStall(t *testing.T) {
 		t.Fatalf("primary pushed %d snapshots to a backup whose only missing op was in flight", n)
 	}
 }
+
+// A snapshot push allocates what the shard's state is worth: pushing a
+// one-entry shard must not reserve a full snapshot chunk up front.
+func TestPushSnapshotAllocatesByState(t *testing.T) {
+	h := startReplicaGroup(t, 1)
+	ctx := ctxT(t)
+	c := h.client("n1")
+	waitFor(t, "primary", func() bool { return h.dirs[0].Primary(0) })
+	if err := c.PutStarted(ctx, types.RandomObjectID(), 100); err != nil {
+		t.Fatal(err)
+	}
+	// A closed listener's address: the push builds its chunks, then its
+	// first call fails at the dial.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	d := h.dirs[0]
+	d.mu.Lock()
+	r := d.reps[0]
+	d.mu.Unlock()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.pushSnapshot(r, dead)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 256<<10 {
+		t.Fatalf("pushing a one-entry shard allocated %d KiB, want < 256 KiB", n>>10)
+	}
+}

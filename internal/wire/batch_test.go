@@ -7,7 +7,10 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,16 +18,19 @@ import (
 )
 
 // collectWriter records each Write as one batch so tests can inspect
-// exactly how frames were coalesced onto the "wire". Writes block until
-// gate is closed — a stalled connection, under which every frame enqueued
-// meanwhile must ride the next write.
+// exactly how frames were coalesced onto the "wire". Each Write first
+// reports itself on entered, then blocks until gate is closed: a stalled
+// connection, under which every frame enqueued meanwhile must ride the
+// next write.
 type collectWriter struct {
+	entered chan struct{}
 	gate    chan struct{}
 	mu      sync.Mutex
 	batches [][]byte
 }
 
 func (w *collectWriter) Write(p []byte) (int, error) {
+	w.entered <- struct{}{}
 	<-w.gate
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -54,42 +60,65 @@ func (w *collectWriter) frames(t *testing.T) []Message {
 	}
 }
 
-// Frames enqueued while a write is in flight must drain in enqueue order
-// and share the next write.
+// While one caller's write is stalled, concurrent callers append their
+// frames and return at once. The stalled caller then writes all of them in
+// one more write, in enqueue order, before it returns.
 func TestBatcherCoalescesAndPreservesOrder(t *testing.T) {
-	w := &collectWriter{gate: make(chan struct{})}
+	w := &collectWriter{entered: make(chan struct{}, 2), gate: make(chan struct{})}
 	b := newBatcher(w, nil)
 	defer b.close()
-	const n = 50
-	for i := int64(0); i < n; i++ {
-		if err := b.enqueue(&Message{Method: MethodPing, Num: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(w.gate)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if got := w.frames(t); len(got) == n {
-			for i, m := range got {
-				if m.Num != int64(i) {
-					t.Fatalf("frame %d carries Num %d: order not preserved", i, m.Num)
+
+	writerDone := make(chan error, 1)
+	go func() { writerDone <- b.enqueue(&Message{Method: MethodPing, Num: -1}) }()
+	<-w.entered // the first caller is now inside its Write
+
+	const senders, each = 8, 25
+	var wg sync.WaitGroup
+	for g := int64(0); g < senders; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for i := int64(0); i < each; i++ {
+				if err := b.enqueue(&Message{Method: MethodPing, Num: g*1000 + i}); err != nil {
+					t.Error(err)
 				}
 			}
-			break
+		}(g)
+	}
+	wg.Wait() // every concurrent caller returned while the write is stalled
+	select {
+	case <-writerDone:
+		t.Fatal("the writing caller returned before its stalled write finished")
+	default:
+	}
+
+	close(w.gate)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	// No polling: the writer returned, so everything it found queued is
+	// already written.
+	got := w.frames(t)
+	if len(got) != 1+senders*each {
+		t.Fatalf("%d/%d frames written when the writing caller returned", len(got), 1+senders*each)
+	}
+	if got[0].Num != -1 {
+		t.Fatalf("first frame carries Num %d, want the stalled caller's", got[0].Num)
+	}
+	next := make(map[int64]int64)
+	for _, m := range got[1:] {
+		g, i := m.Num/1000, m.Num%1000
+		if i != next[g] {
+			t.Fatalf("sender %d: frame %d written where %d was due: order not preserved", g, i, next[g])
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d frames drained", len(w.frames(t)), n)
-		}
-		time.Sleep(time.Millisecond)
+		next[g]++
 	}
 	st := b.stats()
-	if st.Frames != n {
-		t.Fatalf("stats.Frames = %d, want %d", st.Frames, n)
+	if st.Frames != 1+senders*each {
+		t.Fatalf("stats.Frames = %d, want %d", st.Frames, 1+senders*each)
 	}
-	// The first write carried whatever was queued when the flusher woke;
-	// everything enqueued while it was stalled shares the second.
 	if st.Flushes > 2 {
-		t.Fatalf("no coalescing: %d flushes for %d frames", st.Flushes, st.Frames)
+		t.Fatalf("no coalescing: %d writes for %d frames", st.Flushes, st.Frames)
 	}
 }
 
@@ -226,5 +255,135 @@ func TestClientCloseFailsQueuedCalls(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("queued call hung across Close")
+	}
+}
+
+// wireGoroutines counts the live goroutines that package wire's non-test
+// code started.
+func wireGoroutines() int {
+	buf := make([]byte, 1<<20)
+	st := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(st, "created by hoplite/internal/wire.") - strings.Count(st, "created by hoplite/internal/wire.Test")
+}
+
+// A connection costs one goroutine per end, its reader: no writer
+// goroutine runs on either side.
+func TestConnectionsAddOnlyReaders(t *testing.T) {
+	h := func(ctx context.Context, m Message, p *Peer) Message { return m }
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, h)
+	go srv.Serve()
+	defer srv.Close()
+
+	const n = 4
+	for i := 0; i < n; i++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(conn, nil)
+		defer c.Close()
+		if _, err := c.Call(context.Background(), Message{Method: MethodPing}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Handler goroutines exit right after their reply; wait them out.
+	got := wireGoroutines()
+	for deadline := time.Now().Add(5 * time.Second); got != 2*n && time.Now().Before(deadline); got = wireGoroutines() {
+		time.Sleep(time.Millisecond)
+	}
+	if got != 2*n {
+		t.Fatalf("%d connections run %d wire goroutines, want %d (one reader per end)", n, got, 2*n)
+	}
+}
+
+// failingConn fails every Write once broken is set.
+type failingConn struct {
+	net.Conn
+	broken *atomic.Bool
+}
+
+func (c failingConn) Write(p []byte) (int, error) {
+	if c.broken.Load() {
+		return 0, errors.New("conn reset")
+	}
+	return c.Conn.Write(p)
+}
+
+// A write that fails on the caller's goroutine takes the client down
+// there and then: every pending Call fails with ErrNodeDown, OnDown fires
+// once, and nothing deadlocks on the way.
+func TestCallerWriteFailureFailsPendingCalls(t *testing.T) {
+	const pending = 5
+	block := make(chan struct{})
+	arrived := make(chan struct{}, pending+1)
+	h := func(ctx context.Context, m Message, p *Peer) Message {
+		arrived <- struct{}{}
+		select {
+		case <-block:
+		case <-ctx.Done():
+		}
+		return m
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ln, h)
+	go srv.Serve()
+	defer srv.Close()
+	defer close(block)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := new(atomic.Bool)
+	c := NewClient(failingConn{conn, broken}, nil)
+	defer c.Close()
+	downs := make(chan struct{}, 2)
+	c.OnDown(func() { downs <- struct{}{} })
+
+	errs := make(chan error, pending+1)
+	for i := 0; i < pending; i++ {
+		go func() {
+			_, err := c.Call(context.Background(), Message{Method: MethodPing})
+			errs <- err
+		}()
+	}
+	for i := 0; i < pending; i++ {
+		select {
+		case <-arrived: // the server holds one more pending call
+		case <-time.After(5 * time.Second):
+			t.Fatal("the pending calls never reached the server")
+		}
+	}
+	broken.Store(true)
+	go func() {
+		_, err := c.Call(context.Background(), Message{Method: MethodPing})
+		errs <- err
+	}()
+	for i := 0; i < pending+1; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, types.ErrNodeDown) {
+				t.Fatalf("call failed with %v, want ErrNodeDown", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d calls still hang after the write failure", pending+1-i)
+		}
+	}
+	select {
+	case <-downs:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnDown never fired")
+	}
+	c.Close()
+	select {
+	case <-downs:
+		t.Fatal("OnDown fired twice")
+	case <-time.After(20 * time.Millisecond):
 	}
 }

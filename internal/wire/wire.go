@@ -158,9 +158,9 @@ func (m *Message) SetError(err error) {
 
 // Client is a control-plane connection with pipelined calls. Multiple
 // goroutines may Call concurrently; responses are matched by message ID.
-// Writes go through a coalescing batcher (see batch.go): concurrent
-// callers enqueue encoded frames and a single flusher drains them with
-// one write per wakeup, so many logical calls share a syscall.
+// A call writes its frame on the caller's goroutine unless another
+// caller's write is in flight, which then carries it (see batch.go); the
+// only goroutine per connection is the reader.
 type Client struct {
 	conn net.Conn
 	b    *batcher
@@ -213,12 +213,12 @@ func (c *Client) OnOrphan(fn func(req, resp Message)) {
 }
 
 // OnRTT registers fn to receive the wall-clock round-trip time of every
-// completed Call — request enqueue to response arrival, batching delay
-// included, which is exactly the latency a control RPC experiences. The
-// link-state estimator hangs off this hook, so ordinary traffic
-// (heartbeats, pings, directory calls) doubles as RTT probing with no
-// dedicated probe messages. fn runs on the caller's goroutine and must be
-// cheap. Set it before issuing calls.
+// completed Call — request enqueue to response arrival, the wait behind
+// an in-flight write included, which is exactly the latency a control RPC
+// experiences. The link-state estimator hangs off this hook, so ordinary
+// traffic (heartbeats, pings, directory calls) doubles as RTT probing with
+// no dedicated probe messages. fn runs on the caller's goroutine and must
+// be cheap. Set it before issuing calls.
 func (c *Client) OnRTT(fn func(time.Duration)) {
 	c.mu.Lock()
 	c.rtt = fn
@@ -414,15 +414,15 @@ func (p *Pending) done(resp Message) (Message, error) {
 
 func (c *Client) sendCancel(id uint64) {
 	m := Message{Method: MethodCancel, Num: int64(id)}
-	// The request frame was enqueued before this cancel, and the batcher
-	// drains in FIFO order, so the server still sees request-before-cancel.
+	// The request frame was enqueued before this cancel, and the queue is
+	// written in FIFO order, so the server still sees request-before-cancel.
 	_ = c.b.enqueue(&m)
 }
 
 // Peer is the server-side view of one client connection. Handlers can hold
-// on to it to push notifications later. Responses and pushes from
-// concurrent handlers coalesce through the same write batcher as the
-// client side, so a burst of small replies shares one syscall.
+// on to it to push notifications later. Responses and pushes are written
+// on the handler's goroutine through the same batcher as the client side,
+// so a burst of small replies from concurrent handlers shares one syscall.
 type Peer struct {
 	conn net.Conn
 	b    *batcher
@@ -432,8 +432,8 @@ type Peer struct {
 	onClose []func()
 }
 
-// send enqueues one frame to the client. A write failure surfaces
-// asynchronously through the batcher's error hook, which closes the peer.
+// send writes or queues one frame to the client. A write failure reaches
+// the batcher's error hook, which closes the peer.
 func (p *Peer) send(m *Message) error {
 	return p.b.enqueue(m)
 }
@@ -476,9 +476,6 @@ func (p *Peer) close() {
 	}
 }
 
-// BatchStats reports the peer connection's write-batching counters.
-func (p *Peer) BatchStats() BatchStats { return p.b.stats() }
-
 // Handler processes one request. It runs on its own goroutine and may
 // block; ctx is canceled when the connection closes or the server stops.
 type Handler func(ctx context.Context, m Message, p *Peer) Message
@@ -520,6 +517,7 @@ func (s *Server) Serve() error {
 
 func (s *Server) serveConn(conn net.Conn) {
 	peer := &Peer{conn: conn}
+	peer.b = newBatcher(conn, func(error) { peer.close() })
 	s.mu.Lock()
 	select {
 	case <-s.done:
@@ -528,8 +526,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	default:
 	}
-	// Only a registered peer gets a flusher goroutine: Close stops those.
-	peer.b = newBatcher(conn, func(error) { peer.close() })
 	s.peers[peer] = struct{}{}
 	s.mu.Unlock()
 

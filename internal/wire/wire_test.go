@@ -230,9 +230,9 @@ func TestServerCloseFailsPending(t *testing.T) {
 }
 
 // TestConnAfterCloseIsDropped hands a closed server a connection, as an
-// accept racing Close does: the server must close it without leaving the
-// connection's write flusher running (the package's leak check fails on
-// one left behind).
+// accept racing Close does: the server must close it at once and start
+// nothing for it (the package's leak check fails on a goroutine left
+// behind).
 func TestConnAfterCloseIsDropped(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

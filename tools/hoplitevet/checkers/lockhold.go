@@ -274,6 +274,20 @@ var osBlockingMethods = map[string]bool{
 	"ReadFrom": true, "Seek": true, "Sync": true, "Close": true, "Truncate": true,
 }
 
+// wireSendMethods write a frame on the caller's goroutine when the
+// connection is idle, so each may block in conn.Write.
+var wireSendMethods = map[string]bool{
+	"Client.Go": true, "Client.Call": true, "Peer.Notify": true,
+}
+
+// recvName is the name of the type of sig's receiver ("" if unnamed).
+func recvName(sig *types.Signature) string {
+	if named := namedOf(sig.Recv().Type()); named != nil {
+		return named.Obj().Name()
+	}
+	return ""
+}
+
 // blockingCall classifies calls that can block on I/O or time.
 func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	var fn *types.Func
@@ -300,7 +314,7 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return "network I/O (net." + name + ")", true
 	case path == "bufio" && name == "Flush":
 		return "buffered I/O flush", true
-	case pkgSuffixMatch(fn.Pkg(), "internal/wire") && hasAnyPrefix(name, "Read", "Write"):
+	case pkgSuffixMatch(fn.Pkg(), "internal/wire") && (hasAnyPrefix(name, "Read", "Write") || isMethod && wireSendMethods[recvName(sig)+"."+name]):
 		return "wire I/O (wire." + name + ")", true
 	case pkgSuffixMatch(fn.Pkg(), "internal/transport") && hasAnyPrefix(name, "Pull", "Serve", "Dial", "Send", "Recv", "Read", "Write"):
 		return "transport I/O (transport." + name + ")", true

@@ -89,3 +89,33 @@ func (g *guarded) okAnnotated(m wire.Message) error {
 	defer g.mu.Unlock()
 	return wire.WriteMessage(m)
 }
+
+// badClientSends may write the frame on this goroutine under the lock.
+func (g *guarded) badClientSends(c *wire.Client, m wire.Message) {
+	g.mu.Lock()
+	c.Go(m)   // want `wire I/O \(wire.Go\) while g.mu is held`
+	c.Call(m) // want `wire I/O \(wire.Call\) while g.mu is held`
+	g.mu.Unlock()
+}
+
+// badNotify pushes to a peer under the lock.
+func (g *guarded) badNotify(p *wire.Peer, m wire.Message) {
+	g.rw.RLock()
+	defer g.rw.RUnlock()
+	p.Notify(m) // want `wire I/O \(wire.Notify\) while g.rw is held`
+}
+
+// okClose: closing a client is not a send.
+func (g *guarded) okClose(c *wire.Client) {
+	g.mu.Lock()
+	c.Close()
+	g.mu.Unlock()
+}
+
+// okSendAfterUnlock snapshots under the lock and sends after it.
+func (g *guarded) okSendAfterUnlock(c *wire.Client, m wire.Message) {
+	g.mu.Lock()
+	g.m["k"]++
+	g.mu.Unlock()
+	c.Go(m)
+}
