@@ -14,11 +14,13 @@ package netem
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"hoplite/internal/pool"
 	"hoplite/internal/types"
 )
 
@@ -71,6 +73,13 @@ type LinkConfig struct {
 	Burst float64
 }
 
+func (c LinkConfig) burst() float64 {
+	if c.Burst <= 0 {
+		return 256 << 10
+	}
+	return c.Burst
+}
+
 // Emulated is a loopback fabric with per-node traffic shaping and fault
 // injection.
 type Emulated struct {
@@ -85,6 +94,8 @@ type Emulated struct {
 	// a dialer's ephemeral local address at Dial.
 	pairs  map[pairKey]*pairLink
 	owners map[string]string
+
+	timer *deliveryTimer
 }
 
 type pairKey struct{ from, to string }
@@ -93,28 +104,19 @@ type pairKey struct{ from, to string }
 // sender's writes toward that receiver, and latency (when positive)
 // replaces the receiver's one-way delay for data arriving from that sender.
 type pairLink struct {
-	bucket *bucket
-
-	mu      sync.Mutex
-	latency time.Duration
-}
-
-func (p *pairLink) lat() (time.Duration, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.latency, p.latency > 0
+	bucket  *bucket
+	latency atomic.Int64 // nanoseconds
 }
 
 // NewEmulated returns a fabric applying cfg to every node.
 func NewEmulated(cfg LinkConfig) *Emulated {
-	if cfg.Burst <= 0 {
-		cfg.Burst = 256 << 10
-	}
+	cfg.Burst = cfg.burst()
 	return &Emulated{
 		cfg:    cfg,
 		nodes:  make(map[string]*shapedNode),
 		pairs:  make(map[pairKey]*pairLink),
 		owners: make(map[string]string),
+		timer:  newDeliveryTimer(),
 	}
 }
 
@@ -127,45 +129,34 @@ func NewEmulated(cfg LinkConfig) *Emulated {
 // with a thin, slow uplink to one peer and a fat link to another) are the
 // point. Takes effect immediately, live connections included.
 func (e *Emulated) SetPairLink(from, to string, cfg LinkConfig) {
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = 256 << 10
-	}
 	e.mu.Lock()
 	pl, ok := e.pairs[pairKey{from, to}]
 	if !ok {
-		pl = &pairLink{bucket: newBucket(cfg.BytesPerSec, burst)}
+		pl = &pairLink{bucket: &bucket{}}
 		e.pairs[pairKey{from, to}] = pl
-	} else {
-		pl.bucket.setRate(cfg.BytesPerSec, burst)
 	}
 	e.mu.Unlock()
-	pl.mu.Lock()
-	pl.latency = cfg.Latency
-	pl.mu.Unlock()
+	pl.bucket.setRate(cfg.BytesPerSec, cfg.burst())
+	pl.latency.Store(int64(cfg.Latency))
 }
 
-// pair returns the directional pair override, nil when none is configured
-// (or the far endpoint is not yet known).
-func (e *Emulated) pair(from, to string) *pairLink {
-	if from == "" || to == "" {
-		return nil
-	}
+// route returns the directional pair override from -> to, nil when none is
+// configured, and the receiving node, nil while to is unknown.
+func (e *Emulated) route(from, to string) (*pairLink, *shapedNode) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.pairs[pairKey{from, to}]
+	return e.pairs[pairKey{from, to}], e.nodes[to]
 }
 
+// setOwner records the node owning socket address addr; "" forgets it.
 func (e *Emulated) setOwner(addr, node string) {
 	e.mu.Lock()
-	e.owners[addr] = node
-	e.mu.Unlock()
-}
-
-func (e *Emulated) forgetOwner(addr string) {
-	e.mu.Lock()
-	delete(e.owners, addr)
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	if node == "" {
+		delete(e.owners, addr)
+	} else {
+		e.owners[addr] = node
+	}
 }
 
 func (e *Emulated) ownerOf(addr string) string {
@@ -179,8 +170,9 @@ type shapedNode struct {
 	egress  *bucket
 	ingress *bucket
 
+	latency atomic.Int64 // nanoseconds, for connections opened next
+
 	mu        sync.Mutex
-	latency   time.Duration
 	killed    bool
 	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
@@ -193,23 +185,15 @@ func (e *Emulated) node(name string) *shapedNode {
 	if !ok {
 		n = &shapedNode{
 			name:      name,
-			egress:    newBucket(e.cfg.BytesPerSec, e.cfg.Burst),
-			ingress:   newBucket(e.cfg.BytesPerSec, e.cfg.Burst),
-			latency:   e.cfg.Latency,
+			egress:    &bucket{rate: e.cfg.BytesPerSec, burst: e.cfg.Burst},
+			ingress:   &bucket{rate: e.cfg.BytesPerSec, burst: e.cfg.Burst},
 			conns:     make(map[net.Conn]struct{}),
 			listeners: make(map[net.Listener]struct{}),
 		}
+		n.latency.Store(int64(e.cfg.Latency))
 		e.nodes[name] = n
 	}
 	return n
-}
-
-// lat returns the node's one-way latency; per-node overrides (AddNode)
-// take effect on connections opened afterwards.
-func (n *shapedNode) lat() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.latency
 }
 
 func (n *shapedNode) register(c net.Conn) error {
@@ -220,12 +204,6 @@ func (n *shapedNode) register(c net.Conn) error {
 	}
 	n.conns[c] = struct{}{}
 	return nil
-}
-
-func (n *shapedNode) unregister(c net.Conn) {
-	n.mu.Lock()
-	delete(n.conns, c)
-	n.mu.Unlock()
 }
 
 // Listen implements Fabric.
@@ -279,11 +257,11 @@ func (e *Emulated) Dial(ctx context.Context, node, addr string) (net.Conn, error
 	// who dialed (its first read arrives strictly after Dial returned).
 	local := c.LocalAddr().String()
 	e.setOwner(local, node)
-	sc := newShapedConn(c, e, sn, sn.lat())
+	sc := newShapedConn(c, e, sn)
 	sc.ownedAddr = local
 	if err := sn.register(sc); err != nil {
 		c.Close()
-		e.forgetOwner(local)
+		e.setOwner(local, "")
 		return nil, err
 	}
 	return sc, nil
@@ -295,16 +273,8 @@ func (e *Emulated) Dial(ctx context.Context, node, addr string) (net.Conn, error
 // existing node is allowed; bandwidth changes apply to live connections,
 // the latency override to connections opened afterwards.
 func (e *Emulated) AddNode(name string, cfg LinkConfig) {
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = 256 << 10
-	}
-	sn := e.node(name)
-	sn.egress.setRate(cfg.BytesPerSec, burst)
-	sn.ingress.setRate(cfg.BytesPerSec, burst)
-	sn.mu.Lock()
-	sn.latency = cfg.Latency
-	sn.mu.Unlock()
+	e.SetNodeLink(name, cfg)
+	e.node(name).latency.Store(int64(cfg.Latency))
 }
 
 // RemoveNode kills the node and forgets its shaping state entirely: a
@@ -326,21 +296,14 @@ func (e *Emulated) Kill(node string) {
 	sn := e.node(node)
 	sn.mu.Lock()
 	sn.killed = true
-	conns := make([]net.Conn, 0, len(sn.conns))
-	for c := range sn.conns {
-		conns = append(conns, c)
-	}
-	lns := make([]net.Listener, 0, len(sn.listeners))
-	for l := range sn.listeners {
-		lns = append(lns, l)
-	}
+	conns, lns := sn.conns, sn.listeners
 	sn.conns = make(map[net.Conn]struct{})
 	sn.listeners = make(map[net.Listener]struct{})
 	sn.mu.Unlock()
-	for _, c := range conns {
+	for c := range conns {
 		c.Close()
 	}
-	for _, l := range lns {
+	for l := range lns {
 		l.Close()
 	}
 }
@@ -352,13 +315,9 @@ func (e *Emulated) Kill(node string) {
 // pulling from senders with capped egress — are how striped multi-source
 // fetches are benchmarked.
 func (e *Emulated) SetNodeLink(node string, cfg LinkConfig) {
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = 256 << 10
-	}
 	sn := e.node(node)
-	sn.egress.setRate(cfg.BytesPerSec, burst)
-	sn.ingress.setRate(cfg.BytesPerSec, burst)
+	sn.egress.setRate(cfg.BytesPerSec, cfg.burst())
+	sn.ingress.setRate(cfg.BytesPerSec, cfg.burst())
 }
 
 // Revive allows a previously killed node to create connections again.
@@ -372,14 +331,12 @@ func (e *Emulated) Revive(node string) {
 // Close implements Fabric.
 func (e *Emulated) Close() error {
 	e.mu.Lock()
-	nodes := make([]*shapedNode, 0, len(e.nodes))
-	for _, n := range e.nodes {
-		nodes = append(nodes, n)
-	}
+	nodes := maps.Clone(e.nodes)
 	e.mu.Unlock()
-	for _, n := range nodes {
-		e.Kill(n.name)
+	for name := range nodes {
+		e.Kill(name)
 	}
+	e.timer.stop()
 	return nil
 }
 
@@ -394,7 +351,7 @@ func (l *shapedListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := newShapedConn(c, l.fab, l.node, l.node.lat())
+	sc := newShapedConn(c, l.fab, l.node)
 	if err := l.node.register(sc); err != nil {
 		c.Close()
 		return nil, err
@@ -409,9 +366,17 @@ func (l *shapedListener) Close() error {
 	return l.Listener.Close()
 }
 
-// shapedConn wraps one endpoint of a TCP connection. Writes consume the
-// owning node's egress tokens; reads are pumped through a delay queue that
-// consumes ingress tokens and releases data one-way-latency after arrival.
+// segSize is the most one pump read or one shaped write moves at once.
+const segSize = 64 << 10
+
+// shapedConn wraps one endpoint of a TCP connection. A write queues on the
+// sender's egress line, the pair's line if one is set, and the receiver's
+// ingress line in turn, waiting out each: a busy receiver holds its senders
+// back at once, as link-level flow control does, rather than queueing their
+// bytes in front of everyone else's. Reads are pumped through a delay queue
+// that releases data one latency after it arrived. The queue holds at most
+// cap(segCh) pooled arrays of segSize bytes, 4 MiB; behind it the socket
+// buffers fill and the sender blocks, as on a link.
 type shapedConn struct {
 	net.Conn
 	fab     *Emulated
@@ -421,26 +386,39 @@ type shapedConn struct {
 	// ownedAddr is the dialer-side local address registered in fab.owners
 	// (empty on accepted connections); Close unregisters it so a recycled
 	// ephemeral port cannot be mis-attributed.
-	ownedAddr string
-	peerMu    sync.Mutex
-	peer      string // far-side node name, resolved lazily
+	ownedAddr    string
+	peerMu       sync.Mutex
+	peer, remote string // far-side node name, resolved lazily from its address
 
-	segCh   chan segment
-	readMu  sync.Mutex
-	pendSeg *segment
+	rd           segReader
+	segCh        chan segment
+	done         chan struct{} // closed by Close
+	pumped       chan struct{} // closed when pump returns
+	rwake, wwake chan struct{} // Read's and Write's on the fabric's timer
+
+	readMu, writeMu sync.Mutex
+	pend            segment // the segment Read is handing out; zero when none
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
+// segment is one pump read, released to Read at at: a pooled array buf, of
+// which Read has handed out buf[:off], and the error that ended the stream.
 type segment struct {
-	data []byte
-	at   time.Time
-	err  error
+	buf []byte
+	off int
+	at  time.Time
+	err error
 }
 
-func newShapedConn(c net.Conn, fab *Emulated, node *shapedNode, latency time.Duration) *shapedConn {
-	sc := &shapedConn{Conn: c, fab: fab, node: node, latency: latency, segCh: make(chan segment, 64)}
+func newShapedConn(c net.Conn, fab *Emulated, node *shapedNode) *shapedConn {
+	sc := &shapedConn{
+		Conn: c, fab: fab, node: node, latency: time.Duration(node.latency.Load()), remote: c.RemoteAddr().String(),
+		segCh: make(chan segment, 64), done: make(chan struct{}), pumped: make(chan struct{}),
+		rwake: make(chan struct{}, 1), wwake: make(chan struct{}, 1),
+	}
+	sc.rd.init(c)
 	go sc.pump()
 	return sc
 }
@@ -451,39 +429,28 @@ func newShapedConn(c net.Conn, fab *Emulated, node *shapedNode, latency time.Dur
 // first byte arriving here.
 func (c *shapedConn) peerName() string {
 	c.peerMu.Lock()
-	p := c.peer
-	c.peerMu.Unlock()
-	if p != "" {
-		return p
-	}
-	// Resolve outside the lock: ownerOf takes the fabric lock, and the
-	// race is benign (both resolvers compute the same owner).
-	p = c.fab.ownerOf(c.Conn.RemoteAddr().String())
-	c.peerMu.Lock()
+	defer c.peerMu.Unlock()
 	if c.peer == "" {
-		c.peer = p
+		c.peer = c.fab.ownerOf(c.remote)
 	}
-	p = c.peer
-	c.peerMu.Unlock()
-	return p
+	return c.peer
 }
 
 func (c *shapedConn) pump() {
+	defer close(c.pumped)
 	for {
-		buf := make([]byte, 64<<10)
-		n, err := c.Conn.Read(buf)
-		if n > 0 {
-			c.node.ingress.take(int64(n))
-			lat := c.latency
-			if pl := c.fab.pair(c.peerName(), c.node.name); pl != nil {
-				if d, ok := pl.lat(); ok {
-					lat = d
-				}
-			}
-			c.segCh <- segment{data: buf[:n], at: time.Now().Add(lat)}
+		buf, at, err := c.rd.read()
+		lat := c.latency
+		if pl, _ := c.fab.route(c.peerName(), c.node.name); pl != nil && pl.latency.Load() > 0 {
+			lat = time.Duration(pl.latency.Load())
+		}
+		select {
+		case c.segCh <- segment{buf: buf, at: at.Add(lat), err: err}:
+		case <-c.done:
+			pool.Put(buf)
+			return
 		}
 		if err != nil {
-			c.segCh <- segment{err: err, at: time.Now().Add(c.latency)}
 			return
 		}
 	}
@@ -493,40 +460,48 @@ func (c *shapedConn) pump() {
 func (c *shapedConn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	seg := c.pendSeg
-	if seg == nil {
-		s, ok := <-c.segCh
-		if !ok {
-			return 0, types.ErrClosed
+	if c.pend.buf == nil && c.pend.err == nil {
+		select {
+		case c.pend = <-c.segCh:
+		case <-c.done:
+			return 0, net.ErrClosed
 		}
-		seg = &s
+		if !c.fab.timer.wait(c.pend.at, c.rwake, c.done) {
+			return 0, net.ErrClosed
+		}
 	}
-	sleepUntil(seg.at)
-	if seg.err != nil {
-		c.pendSeg = seg // sticky error
-		return 0, seg.err
+	if c.pend.off == len(c.pend.buf) {
+		return 0, c.pend.err // sticky
 	}
-	n := copy(p, seg.data)
-	if n < len(seg.data) {
-		seg.data = seg.data[n:]
-		c.pendSeg = seg
-	} else {
-		c.pendSeg = nil
+	n := copy(p, c.pend.buf[c.pend.off:])
+	if c.pend.off += n; c.pend.off == len(c.pend.buf) && c.pend.err == nil {
+		pool.Put(c.pend.buf)
+		c.pend = segment{}
 	}
 	return n, nil
 }
 
-// Write implements net.Conn.
+// Write implements net.Conn. Concurrent writes go out whole, one after
+// the other, as on a TCP socket.
+//
+//hoplite:locked-io the write lock exists to send concurrent writes whole, as a socket's does
 func (c *shapedConn) Write(p []byte) (int, error) {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	var written int
 	for len(p) > 0 {
-		chunk := p
-		if len(chunk) > 64<<10 {
-			chunk = chunk[:64<<10]
+		chunk := p[:min(len(p), segSize)]
+		sz := int64(len(chunk))
+		ok := c.fab.timer.wait(c.node.egress.take(sz), c.wwake, c.done)
+		pl, peer := c.fab.route(c.node.name, c.peerName())
+		if ok && pl != nil {
+			ok = c.fab.timer.wait(pl.bucket.take(sz), c.wwake, c.done)
 		}
-		c.node.egress.take(int64(len(chunk)))
-		if pl := c.fab.pair(c.node.name, c.peerName()); pl != nil {
-			pl.bucket.take(int64(len(chunk)))
+		if ok && peer != nil {
+			ok = c.fab.timer.wait(peer.ingress.take(sz), c.wwake, c.done)
+		}
+		if !ok {
+			return written, net.ErrClosed
 		}
 		n, err := c.Conn.Write(chunk)
 		written += n
@@ -538,49 +513,32 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Close implements net.Conn.
+// Close implements net.Conn, and returns the queued arrays to the pool.
 func (c *shapedConn) Close() error {
 	c.closeOnce.Do(func() {
 		if c.ownedAddr != "" {
-			c.fab.forgetOwner(c.ownedAddr)
+			c.fab.setOwner(c.ownedAddr, "")
 		}
-		c.node.unregister(c)
+		c.node.mu.Lock()
+		delete(c.node.conns, c)
+		c.node.mu.Unlock()
+		close(c.done)
 		c.closeErr = c.Conn.Close()
+		<-c.pumped
+		c.readMu.Lock()
+		pool.Put(c.pend.buf)
+		c.pend = segment{}
+		for len(c.segCh) > 0 {
+			pool.Put((<-c.segCh).buf)
+		}
+		c.readMu.Unlock()
 	})
 	return c.closeErr
 }
 
-// sleepUntil waits until at with sub-millisecond accuracy: the kernel
-// timer quantum can exceed 1 ms in virtualized environments, which would
-// inflate injected latencies by an order of magnitude, so the tail of the
-// wait is spun cooperatively.
-//
-// sleepUntil sleeps to a deadline with a only a tiny spin window at the
-// end. The window must stay small: every shaped write and delayed segment
-// delivery passes through here, so a generous busy-wait (an earlier
-// version spun the last 2ms) multiplied by a few dozen concurrent streams
-// oversubscribes the CPUs and delays every goroutine in the process by
-// whole preemption quanta — swamping the very queueing behavior the
-// fabric is supposed to emulate.
-//
-//hoplite:sleep-ok the loop is the timer itself: it models link delay, not polling for state
-func sleepUntil(at time.Time) {
-	for {
-		d := time.Until(at)
-		switch {
-		case d <= 0:
-			return
-		case d > 50*time.Microsecond:
-			time.Sleep(d - 20*time.Microsecond)
-		default:
-			runtime.Gosched()
-		}
-	}
-}
-
 // bucket models a rate-limited link as a FIFO serialization queue, the way
 // a NIC transmit queue behaves: each take occupies the line for n/rate
-// seconds and its writer sleeps until its own bytes have drained, behind
+// seconds and its writer waits until its own bytes have drained, behind
 // whatever earlier takers already queued. A late small write therefore
 // waits only for the bytes ahead of it — not, as a shared-debt token
 // bucket would have it, for every byte any concurrent writer has charged —
@@ -594,10 +552,6 @@ type bucket struct {
 	free  time.Time // when the last queued byte drains
 }
 
-func newBucket(rate, burst float64) *bucket {
-	return &bucket{rate: rate, burst: burst}
-}
-
 // setRate re-targets the bucket at runtime; the standing queue is forgiven
 // so a rate change takes effect immediately.
 func (b *bucket) setRate(rate, burst float64) {
@@ -608,13 +562,15 @@ func (b *bucket) setRate(rate, burst float64) {
 	b.mu.Unlock()
 }
 
-func (b *bucket) take(n int64) {
+// take queues n bytes on the line and returns when they will have
+// drained; the zero time on an unlimited line.
+func (b *bucket) take(n int64) time.Time {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	// rate is read under the lock: SetNodeLink re-targets live buckets
 	// while senders are mid-take.
 	if b.rate <= 0 {
-		b.mu.Unlock()
-		return
+		return time.Time{}
 	}
 	now := time.Now()
 	// An idle line owes up to burst bytes of credit: the queue tail never
@@ -623,9 +579,5 @@ func (b *bucket) take(n int64) {
 		b.free = floor
 	}
 	b.free = b.free.Add(time.Duration(float64(n) / b.rate * float64(time.Second)))
-	wakeAt := b.free
-	b.mu.Unlock()
-	if wakeAt.After(now) {
-		sleepUntil(wakeAt)
-	}
+	return b.free
 }

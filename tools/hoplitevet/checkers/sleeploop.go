@@ -12,8 +12,8 @@ import (
 //   - no time.Sleep inside a for/range loop in non-test code: poll loops
 //     burn CPU, add tail latency, and hide missing notification paths
 //     (the store and directory expose watchers precisely so callers never
-//     need to poll). A sleep that models time rather than polling — netem
-//     link delays, benchmark think time — is annotated
+//     need to poll). A sleep that models time rather than polling —
+//     simulated compute, benchmark think time — is annotated
 //     `//hoplite:sleep-ok <reason>`.
 //
 //   - a function that takes a context.Context takes it as the first
