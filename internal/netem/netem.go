@@ -94,8 +94,7 @@ type Emulated struct {
 	// a dialer's ephemeral local address at Dial.
 	pairs  map[pairKey]*pairLink
 	owners map[string]string
-
-	timer *deliveryTimer
+	timer  *deliveryTimer
 }
 
 type pairKey struct{ from, to string }
@@ -172,8 +171,9 @@ type shapedNode struct {
 
 	latency atomic.Int64 // nanoseconds, for connections opened next
 
+	killed atomic.Bool // set by Kill before it closes anything
+
 	mu        sync.Mutex
-	killed    bool
 	conns     map[net.Conn]struct{}
 	listeners map[net.Listener]struct{}
 }
@@ -199,7 +199,7 @@ func (e *Emulated) node(name string) *shapedNode {
 func (n *shapedNode) register(c net.Conn) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.killed {
+	if n.killed.Load() {
 		return fmt.Errorf("netem: node %s is down: %w", n.name, types.ErrNodeDown)
 	}
 	n.conns[c] = struct{}{}
@@ -217,12 +217,9 @@ func (e *Emulated) Listen(node string) (net.Listener, error) {
 // that comes back must come back at the same address.
 func (e *Emulated) ListenOn(node, addr string) (net.Listener, error) {
 	sn := e.node(node)
-	sn.mu.Lock()
-	if sn.killed {
-		sn.mu.Unlock()
+	if sn.killed.Load() {
 		return nil, fmt.Errorf("netem: node %s is down: %w", node, types.ErrNodeDown)
 	}
-	sn.mu.Unlock()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -241,10 +238,7 @@ func (e *Emulated) ListenOn(node, addr string) (net.Listener, error) {
 // Dial implements Fabric.
 func (e *Emulated) Dial(ctx context.Context, node, addr string) (net.Conn, error) {
 	sn := e.node(node)
-	sn.mu.Lock()
-	killed := sn.killed
-	sn.mu.Unlock()
-	if killed {
+	if sn.killed.Load() {
 		return nil, fmt.Errorf("netem: node %s is down: %w", node, types.ErrNodeDown)
 	}
 	var d net.Dialer
@@ -295,7 +289,7 @@ func (e *Emulated) RemoveNode(name string) {
 func (e *Emulated) Kill(node string) {
 	sn := e.node(node)
 	sn.mu.Lock()
-	sn.killed = true
+	sn.killed.Store(true)
 	conns, lns := sn.conns, sn.listeners
 	sn.conns = make(map[net.Conn]struct{})
 	sn.listeners = make(map[net.Listener]struct{})
@@ -322,10 +316,7 @@ func (e *Emulated) SetNodeLink(node string, cfg LinkConfig) {
 
 // Revive allows a previously killed node to create connections again.
 func (e *Emulated) Revive(node string) {
-	sn := e.node(node)
-	sn.mu.Lock()
-	sn.killed = false
-	sn.mu.Unlock()
+	e.node(node).killed.Store(false)
 }
 
 // Close implements Fabric.
@@ -369,11 +360,10 @@ func (l *shapedListener) Close() error {
 // segSize is the most one pump read or one shaped write moves at once.
 const segSize = 64 << 10
 
-// shapedConn wraps one endpoint of a TCP connection. A write queues on the
-// sender's egress line, the pair's line if one is set, and the receiver's
-// ingress line in turn, waiting out each: a busy receiver holds its senders
-// back at once, as link-level flow control does, rather than queueing their
-// bytes in front of everyone else's. Reads are pumped through a delay queue
+// shapedConn wraps one endpoint of a TCP connection. A write waits out the
+// sender's egress line, the pair's line if set, and the receiver's ingress
+// line in turn: a busy receiver holds its senders back at once, as
+// link-level flow control does. Reads are pumped through a delay queue
 // that releases data one latency after it arrived. The queue holds at most
 // cap(segCh) pooled arrays of segSize bytes, 4 MiB; behind it the socket
 // buffers fill and the sender blocks, as on a link.
@@ -393,7 +383,7 @@ type shapedConn struct {
 	rd           segReader
 	segCh        chan segment
 	done         chan struct{} // closed by Close
-	pumped       chan struct{} // closed when pump returns
+	ends         atomic.Int32  // pump returned, Close called: see end
 	rwake, wwake chan struct{} // Read's and Write's on the fabric's timer
 
 	readMu, writeMu sync.Mutex
@@ -415,7 +405,7 @@ type segment struct {
 func newShapedConn(c net.Conn, fab *Emulated, node *shapedNode) *shapedConn {
 	sc := &shapedConn{
 		Conn: c, fab: fab, node: node, latency: time.Duration(node.latency.Load()), remote: c.RemoteAddr().String(),
-		segCh: make(chan segment, 64), done: make(chan struct{}), pumped: make(chan struct{}),
+		segCh: make(chan segment, 64), done: make(chan struct{}),
 		rwake: make(chan struct{}, 1), wwake: make(chan struct{}, 1),
 	}
 	sc.rd.init(c)
@@ -437,7 +427,7 @@ func (c *shapedConn) peerName() string {
 }
 
 func (c *shapedConn) pump() {
-	defer close(c.pumped)
+	defer c.end()
 	for {
 		buf, at, err := c.rd.read()
 		lat := c.latency
@@ -500,7 +490,7 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 		if ok && peer != nil {
 			ok = c.fab.timer.wait(peer.ingress.take(sz), c.wwake, c.done)
 		}
-		if !ok {
+		if !ok || c.node.killed.Load() { // a killed node sends nothing more
 			return written, net.ErrClosed
 		}
 		n, err := c.Conn.Write(chunk)
@@ -513,7 +503,7 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// Close implements net.Conn, and returns the queued arrays to the pool.
+// Close implements net.Conn.
 func (c *shapedConn) Close() error {
 	c.closeOnce.Do(func() {
 		if c.ownedAddr != "" {
@@ -524,16 +514,24 @@ func (c *shapedConn) Close() error {
 		c.node.mu.Unlock()
 		close(c.done)
 		c.closeErr = c.Conn.Close()
-		<-c.pumped
-		c.readMu.Lock()
-		pool.Put(c.pend.buf)
-		c.pend = segment{}
-		for len(c.segCh) > 0 {
-			pool.Put((<-c.segCh).buf)
-		}
-		c.readMu.Unlock()
+		c.end()
 	})
 	return c.closeErr
+}
+
+// end runs when the pump returns and when Close runs, neither waiting on the
+// other (Kill closes a node's sockets at once); the second frees the queue.
+func (c *shapedConn) end() {
+	if c.ends.Add(1) < 2 {
+		return
+	}
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	pool.Put(c.pend.buf)
+	c.pend = segment{}
+	for len(c.segCh) > 0 {
+		pool.Put((<-c.segCh).buf)
+	}
 }
 
 // bucket models a rate-limited link as a FIFO serialization queue, the way

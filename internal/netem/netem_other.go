@@ -9,7 +9,7 @@ import (
 	"hoplite/internal/pool"
 )
 
-// deliveryTimer, off Linux, waits on the runtime's timers: time.Sleep's
+// deliveryTimer, off Linux, sleeps on the runtime's timers: time.Sleep's
 // precision, which can be a millisecond late per wait.
 type deliveryTimer struct{}
 
@@ -17,16 +17,10 @@ func newDeliveryTimer() *deliveryTimer { return &deliveryTimer{} }
 
 func (*deliveryTimer) stop() {}
 
-// wait blocks until at, or until done closes (false).
-func (*deliveryTimer) wait(at time.Time, _ chan struct{}, done <-chan struct{}) bool {
-	tm := time.NewTimer(time.Until(at))
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		return true
-	case <-done:
-		return false
-	}
+// wait sleeps until at; a Close meanwhile shows in the I/O that follows.
+func (*deliveryTimer) wait(at time.Time, _ chan struct{}, _ <-chan struct{}) bool {
+	time.Sleep(time.Until(at))
+	return true
 }
 
 // segReader reads a connection's bytes into pooled arrays; the pump holds
