@@ -357,8 +357,13 @@ func (l *shapedListener) Close() error {
 	return l.Listener.Close()
 }
 
-// segSize is the most one pump read or one shaped write moves at once.
-const segSize = 64 << 10
+// segSize is the most one pump read or one shaped write moves at once;
+// packet is the most a write carries and still goes out as one Ethernet
+// packet.
+const (
+	segSize = 64 << 10
+	packet  = 1500
+)
 
 // shapedConn wraps one endpoint of a TCP connection. A write waits out the
 // sender's egress line, the pair's line if set, and the receiver's ingress
@@ -543,6 +548,13 @@ func (c *shapedConn) end() {
 // so egress scheduling at the sender is observable through the emulation.
 // An idle line accrues up to burst bytes of credit, letting short bursts
 // pass unshaped.
+//
+// A write of at most one packet goes out after the packet on the wire, not
+// after the whole queue: a NIC sends queued writes packet by packet, and
+// its queue discipline (fq, fq_codel) sends a sparse flow's packet ahead
+// of a bulk backlog. Its bytes still join the queue, so a bulk writer's
+// next take lands behind them and the line never carries more than rate
+// over time.
 type bucket struct {
 	mu    sync.Mutex
 	rate  float64 // bytes per second; <=0 means unlimited
@@ -576,6 +588,12 @@ func (b *bucket) take(n int64) time.Time {
 	if floor := now.Add(-time.Duration(b.burst / b.rate * float64(time.Second))); b.free.Before(floor) {
 		b.free = floor
 	}
-	b.free = b.free.Add(time.Duration(float64(n) / b.rate * float64(time.Second)))
+	d := time.Duration(float64(n) / b.rate * float64(time.Second))
+	b.free = b.free.Add(d)
+	if n <= packet {
+		if at := now.Add(time.Duration(packet/b.rate*float64(time.Second)) + d); at.Before(b.free) {
+			return at
+		}
+	}
 	return b.free
 }
