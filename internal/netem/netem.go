@@ -387,25 +387,29 @@ type shapedConn struct {
 
 	rd           segReader
 	segCh        chan segment
+	rerr         error         // why the stream ended: set by the pump before it queues the end
 	done         chan struct{} // closed by Close
 	ends         atomic.Int32  // pump returned, Close called: see end
 	rwake, wwake chan struct{} // Read's and Write's on the fabric's timer
 
 	readMu, writeMu sync.Mutex
 	pend            segment // the segment Read is handing out; zero when none
+	off             int     // how much of pend.buf Read has handed out
+	ended           bool    // Read took the end of the stream
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// segment is one pump read, released to Read at at: a pooled array buf, of
-// which Read has handed out buf[:off], and the error that ended the stream.
+// segment is one pump read, released to Read at epoch+at: a pooled array,
+// or nil at the end of the stream.
 type segment struct {
 	buf []byte
-	off int
-	at  time.Time
-	err error
+	at  time.Duration
 }
+
+// epoch anchors segment release times, which keep its monotonic clock.
+var epoch = time.Now()
 
 func newShapedConn(c net.Conn, fab *Emulated, node *shapedNode) *shapedConn {
 	sc := &shapedConn{
@@ -434,13 +438,16 @@ func (c *shapedConn) peerName() string {
 func (c *shapedConn) pump() {
 	defer c.end()
 	for {
-		buf, at, err := c.rd.read()
-		lat := c.latency
+		buf, err := c.rd.read()
+		at := time.Since(epoch) + c.latency
 		if pl, _ := c.fab.route(c.peerName(), c.node.name); pl != nil && pl.latency.Load() > 0 {
-			lat = time.Duration(pl.latency.Load())
+			at += time.Duration(pl.latency.Load()) - c.latency
+		}
+		if err != nil {
+			c.rerr = err
 		}
 		select {
-		case c.segCh <- segment{buf: buf, at: at.Add(lat), err: err}:
+		case c.segCh <- segment{buf: buf, at: at}:
 		case <-c.done:
 			pool.Put(buf)
 			return
@@ -455,23 +462,26 @@ func (c *shapedConn) pump() {
 func (c *shapedConn) Read(p []byte) (int, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	if c.pend.buf == nil && c.pend.err == nil {
+	if c.ended {
+		return 0, c.rerr
+	}
+	if c.pend.buf == nil {
 		select {
 		case c.pend = <-c.segCh:
 		case <-c.done:
 			return 0, net.ErrClosed
 		}
-		if !c.fab.timer.wait(c.pend.at, c.rwake, c.done) {
+		if !c.fab.timer.wait(epoch.Add(c.pend.at), c.rwake, c.done) {
 			return 0, net.ErrClosed
 		}
+		if c.ended = c.pend.buf == nil; c.ended {
+			return 0, c.rerr
+		}
 	}
-	if c.pend.off == len(c.pend.buf) {
-		return 0, c.pend.err // sticky
-	}
-	n := copy(p, c.pend.buf[c.pend.off:])
-	if c.pend.off += n; c.pend.off == len(c.pend.buf) && c.pend.err == nil {
+	n := copy(p, c.pend.buf[c.off:])
+	if c.off += n; c.off == len(c.pend.buf) {
 		pool.Put(c.pend.buf)
-		c.pend = segment{}
+		c.pend, c.off = segment{}, 0
 	}
 	return n, nil
 }
@@ -533,7 +543,7 @@ func (c *shapedConn) end() {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	pool.Put(c.pend.buf)
-	c.pend = segment{}
+	c.pend, c.off = segment{}, 0
 	for len(c.segCh) > 0 {
 		pool.Put((<-c.segCh).buf)
 	}

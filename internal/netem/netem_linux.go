@@ -8,7 +8,6 @@ import (
 	"sync"
 	"syscall"
 	"time"
-	"unsafe"
 
 	"hoplite/internal/pool"
 )
@@ -25,13 +24,18 @@ import (
 // that overshoot when the fabric starts and sleeps toward each deadline
 // minus the overshoot.
 //
-// No deadline is released late by more than the overshoot. The thread
-// sleeps toward its earliest deadline, but never longer than maxArm at a
-// time, and publishes when it will next look at the heap (waking). A
-// deadline registered after the armed sleep's end is found in time; one
-// that falls before it is released at once, early by less than maxArm,
-// rather than late. maxArm trades that early bound against how often the
-// thread wakes while deadlines are pending.
+// No deadline is released late by more than the overshoot, nor early by
+// more than maxArm plus the overshoot. The thread sleeps toward its
+// earliest deadline, but never longer than maxArm at a time, and publishes
+// when it will next look at the heap (waking). A deadline registered after
+// the armed sleep's end is found in time; one that falls before it is
+// released at once, early rather than late: a short wait on a line, or a
+// delivery whose pump ran late under load, can be. maxArm trades that
+// early bound against how often the thread wakes while deadlines are
+// pending. A sleep that an earlier deadline interrupts (ppoll on an
+// eventfd) has no early bound, but it parks the waiters it wakes behind
+// the thread's own blocking syscall on its P until the runtime's monitor
+// takes the P away: a 200 µs hop measured 0.4–0.6 ms under load that way.
 //
 // Registering and waking allocate nothing: the heap is a plain slice of
 // values and each waiter owns a buffered channel for its whole life.
@@ -206,23 +210,16 @@ func nanosleep(d time.Duration) {
 	syscall.Nanosleep(&ts, nil)
 }
 
-// segReader reads a connection's bytes into pooled arrays, with the time
-// the kernel received them. It takes an array only once the socket has
-// bytes: the read runs inside RawConn.Read, which parks on the runtime's
-// poller until the socket is readable. So an idle connection's pump, as
-// most of a cluster's hundreds are at any moment, holds none. The receive
-// time comes from SO_TIMESTAMPNS, so the delay the fabric adds runs from
-// the bytes' arrival, not from when the pump got to run.
+// segReader reads a connection's bytes into pooled arrays. It takes an
+// array only once the socket has bytes: the read runs inside RawConn.Read,
+// which parks on the runtime's poller until the socket is readable. So an
+// idle connection's pump, as most of a cluster's hundreds are at any
+// moment, holds none.
 type segReader struct {
 	raw syscall.RawConn
 	fn  func(fd uintptr) bool // r.readFd, bound once: a closure per read would allocate
 	buf []byte
-	at  time.Time
 	err error
-	cm  struct { // the one control message asked for
-		hdr syscall.Cmsghdr
-		ts  syscall.Timespec
-	}
 }
 
 // init binds the reader to c, a *net.TCPConn as every emulated connection
@@ -230,38 +227,28 @@ type segReader struct {
 func (r *segReader) init(c net.Conn) {
 	r.raw, r.err = c.(syscall.Conn).SyscallConn()
 	r.fn = r.readFd
-	if r.raw != nil {
-		r.raw.Control(func(fd uintptr) {
-			syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_TIMESTAMPNS, 1)
-		})
-	}
 }
 
-// read returns the next bytes in a pooled array (nil when none came) and
-// when they arrived.
-func (r *segReader) read() ([]byte, time.Time, error) {
+// read returns the next bytes in a pooled array, or nil and why the stream
+// ended.
+func (r *segReader) read() ([]byte, error) {
 	if r.raw == nil {
-		return nil, time.Now(), r.err
+		return nil, r.err
 	}
 	r.buf, r.err = nil, nil
 	if err := r.raw.Read(r.fn); err != nil {
-		return nil, time.Now(), err
+		return nil, err
 	}
-	return r.buf, r.at, r.err
+	return r.buf, r.err
 }
 
 // readFd reads the readable socket fd, or reports false to be called
 // again once it is readable.
 func (r *segReader) readFd(fd uintptr) bool {
 	buf := pool.Get(segSize)
-	oob := unsafe.Slice((*byte)(unsafe.Pointer(&r.cm)), unsafe.Sizeof(r.cm))
-	n, oobn, _, _, err := syscall.Recvmsg(int(fd), buf, oob, 0)
+	n, err := syscall.Read(int(fd), buf)
 	for err == syscall.EINTR {
-		n, oobn, _, _, err = syscall.Recvmsg(int(fd), buf, oob, 0)
-	}
-	r.at = time.Now()
-	if oobn == len(oob) && r.cm.hdr.Level == syscall.SOL_SOCKET && r.cm.hdr.Type == syscall.SCM_TIMESTAMPNS {
-		r.at = time.Unix(r.cm.ts.Unix())
+		n, err = syscall.Read(int(fd), buf)
 	}
 	switch {
 	case err == syscall.EAGAIN:
@@ -269,7 +256,7 @@ func (r *segReader) readFd(fd uintptr) bool {
 		return false
 	case err != nil:
 		pool.Put(buf)
-		r.err = &net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("recvmsg", err)}
+		r.err = &net.OpError{Op: "read", Net: "tcp", Err: os.NewSyscallError("read", err)}
 	case n == 0:
 		pool.Put(buf)
 		r.err = io.EOF

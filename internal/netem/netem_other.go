@@ -29,14 +29,18 @@ type segReader struct{ net.Conn }
 
 func (r *segReader) init(c net.Conn) { r.Conn = c }
 
-// read returns the next bytes in a pooled array (nil when none came) and
-// when they arrived.
-func (r *segReader) read() ([]byte, time.Time, error) {
+// read returns the next bytes in a pooled array, or nil and why the stream
+// ended.
+func (r *segReader) read() ([]byte, error) {
 	buf := pool.Get(segSize)
-	n, err := r.Read(buf)
-	if n == 0 {
-		pool.Put(buf)
-		return nil, time.Now(), err
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			return buf[:n], nil // an error recurs on the next read
+		}
+		if err != nil {
+			pool.Put(buf)
+			return nil, err
+		}
 	}
-	return buf[:n], time.Now(), err
 }
