@@ -357,13 +357,8 @@ func (l *shapedListener) Close() error {
 	return l.Listener.Close()
 }
 
-// segSize is the most one pump read or one shaped write moves at once;
-// packet is the most a write carries and still goes out as one Ethernet
-// packet.
-const (
-	segSize = 64 << 10
-	packet  = 1500
-)
+// segSize is the most one pump read or one shaped write moves at once.
+const segSize = 64 << 10
 
 // shapedConn wraps one endpoint of a TCP connection. A write waits out the
 // sender's egress line, the pair's line if set, and the receiver's ingress
@@ -559,12 +554,9 @@ func (c *shapedConn) end() {
 // An idle line accrues up to burst bytes of credit, letting short bursts
 // pass unshaped.
 //
-// A write of at most one packet goes out after the packet on the wire, not
-// after the whole queue: a NIC sends queued writes packet by packet, and
-// its queue discipline (fq, fq_codel) sends a sparse flow's packet ahead
-// of a bulk backlog. Its bytes still join the queue, so a bulk writer's
-// next take lands behind them and the line never carries more than rate
-// over time.
+// A write of one packet goes out after the packet on the wire, as a NIC's
+// fq/fq_codel queue discipline sends a sparse flow's packet ahead of a bulk
+// backlog; its bytes still join the queue, so the line keeps its rate.
 type bucket struct {
 	mu    sync.Mutex
 	rate  float64 // bytes per second; <=0 means unlimited
@@ -600,10 +592,9 @@ func (b *bucket) take(n int64) time.Time {
 	}
 	d := time.Duration(float64(n) / b.rate * float64(time.Second))
 	b.free = b.free.Add(d)
-	if n <= packet {
-		if at := now.Add(time.Duration(packet/b.rate*float64(time.Second)) + d); at.Before(b.free) {
-			return at
-		}
+	const packet = 1500 // bytes
+	if at := now.Add(time.Duration(packet/b.rate*float64(time.Second)) + d); n <= packet && at.Before(b.free) {
+		return at
 	}
 	return b.free
 }
